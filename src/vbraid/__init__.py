@@ -40,14 +40,8 @@ from .errors import (
     WordSyntaxError,
 )
 from .freegrp import FreeAut, FreeWord, aut_apply, aut_compose, fw_concat
-from .gauss import (
-    GaussCode,
-    closure_code,
-    closure_permutation,
-    parse_gauss,
-    render_gauss,
-)
-from .laurent import LaurentPoly, lp_add, lp_is_unit, lp_mul
+from .gauss import GaussCode, closure_code, parse_gauss
+from .laurent import LaurentPoly
 from .lpmatrix import LPMatrix, block_diag, mat_det, mat_inverse, mat_mul
 from .monoidal import (
     check_coherence,

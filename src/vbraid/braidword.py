@@ -358,11 +358,11 @@ def rewrite_rules(flavor, n: int):
     flavor = Flavor(flavor)
     pres = relators(flavor, n)
     rules = list(pres.relators)
-    existing = {r.name for r in rules}
+    existing = {(r.lhs.letters, r.rhs.letters) for r in rules}
     if flavor in GROUP_FLAVORS:
 
         def addc(name, seq):
-            if name not in existing:
+            if (tuple(seq), ()) not in existing:
                 rules.append(
                     Relator(name, GroupWord(flavor, n, seq), GroupWord(flavor, n, []))
                 )

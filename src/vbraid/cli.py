@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 domain
 error, 4 precondition failure, 10 unknown (bounded equality search gave no
-answer; not an error). VBRAID_BFS_DEPTH overrides the default search depth.
+answer; not an error). VBRAID_BFS_DEPTH overrides the default search depth;
+a value that is not a non-negative integer is a parse error (exit 2).
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ _FLAVORS = ["br", "sym", "vb", "bp", "sb", "sg"]
 
 
 def _default_depth():
+    """VBRAID_BFS_DEPTH, default 6; None when it is not a non-negative integer."""
+    text = os.environ.get("VBRAID_BFS_DEPTH", "6")
     try:
-        return int(os.environ.get("VBRAID_BFS_DEPTH", "6"))
+        depth = int(text)
     except ValueError:
-        return 6
+        return None
+    return depth if depth >= 0 else None
 
 
 def _parse_range(text):
@@ -108,6 +112,13 @@ def _run(args) -> int:
 
     if args.command == "equal":
         depth = args.depth if args.depth is not None else _default_depth()
+        if depth is None:
+            print(
+                "parse error: VBRAID_BFS_DEPTH must be a non-negative integer, "
+                f"got {os.environ['VBRAID_BFS_DEPTH']!r}",
+                file=sys.stderr,
+            )
+            return EXIT_PARSE
         w1 = parse_word(args.word1, args.flavor, args.n)
         w2 = parse_word(args.word2, args.flavor, args.n)
         result = bfs_equal(w1, w2, depth)

@@ -20,8 +20,10 @@ from .errors import (
     GaussSyntaxError,
     LabelCountError,
     NotAKnotError,
+    SizeMismatchError,
 )
-from .perm import Permutation, p_compose, p_is_cycle, p_transposition
+from .perm import p_is_cycle
+from .reps import perm_proj
 
 OVER = "O"
 UNDER = "U"
@@ -105,18 +107,6 @@ def parse_gauss(text: str) -> GaussCode:
     return GaussCode(tuple(visits))
 
 
-def render_gauss(code: GaussCode) -> str:
-    return str(code)
-
-
-def closure_permutation(w: GroupWord) -> Permutation:
-    """Strand permutation of the closure: every letter acts as the transposition (i, i+1)."""
-    acc = Permutation.identity(w.n)
-    for lt in w.letters:
-        acc = p_compose(p_transposition(lt.index, w.n), acc)
-    return acc
-
-
 def closure_code(w: GroupWord, n: int | None = None) -> GaussCode:
     """Gauss code of the closure of a virtual braid word, which must be a knot.
 
@@ -129,8 +119,8 @@ def closure_code(w: GroupWord, n: int | None = None) -> GaussCode:
     if n is None:
         n = w.n
     if n != w.n:
-        raise NotAKnotError(f"word has {w.n} strands, asked for n={n}")
-    if not p_is_cycle(closure_permutation(w)):
+        raise SizeMismatchError(f"word has {w.n} strands, asked for n={n}")
+    if not p_is_cycle(perm_proj(w)):
         raise NotAKnotError("closure has more than one component")
 
     labels = {}  # crossing, identified by its letter index in the word -> label

@@ -123,34 +123,40 @@ class LaurentPoly:
         return result
 
     def exact_div(self, other):
-        """Exact division by a nonzero divisor; raises if the division has a remainder.
+        """Exact division by a nonzero divisor; raises ValueError on a remainder.
 
-        Used by fraction-free elimination, where divisibility is guaranteed.
+        Dense long division over the only possible quotient degrees,
+        min(self) - min(other) .. max(self) - max(other), from the top down,
+        so it takes at most one step per quotient degree.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._terms = {}
         if self.is_zero():
-            return LaurentPoly.zero()
-        rem = dict(self._terms)
-        dlead = max(other._terms)
-        dcoef = other._terms[dlead]
-        qterms = {}
-        while rem:
-            rlead = max(rem)
-            rcoef = rem[rlead]
-            qc, r = divmod(rcoef, dcoef)
+            return out
+        lo, hi = min(self._terms), max(self._terms)
+        dlo, dhi = min(other._terms), max(other._terms)
+        qlo = lo - dlo
+        rem = [0] * (hi - lo + 1)
+        for e, c in self._terms.items():
+            rem[e - lo] = c
+        divisor = [(e - dlo, c) for e, c in other._terms.items()]
+        dcoef = other._terms[dhi]
+        for qe in range(hi - dhi, qlo - 1, -1):
+            top = rem[qe + dhi - lo]
+            if not top:
+                continue
+            qc, r = divmod(top, dcoef)
             if r:
                 raise ValueError("inexact division")
-            qe = rlead - dlead
-            qterms[qe] = qc
-            for e, c in other._terms.items():
-                pos = e + qe
-                new = rem.get(pos, 0) - qc * c
-                if new:
-                    rem[pos] = new
-                elif pos in rem:
-                    del rem[pos]
-        return LaurentPoly(qterms)
+            out._terms[qe] = qc
+            base = qe - qlo
+            for off, c in divisor:
+                rem[base + off] -= qc * c
+        if any(rem):
+            raise ValueError("inexact division")
+        return out
 
     def min_degree(self):
         if not self._terms:
@@ -195,14 +201,3 @@ ONE = LaurentPoly.one()
 T = LaurentPoly.t_power(1)
 T_INV = LaurentPoly.t_power(-1)
 
-
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def lp_is_unit(a: LaurentPoly):
-    return a.is_unit()

@@ -1,8 +1,8 @@
 """Square matrices over Z[t, t^-1].
 
-Everything is exact: the determinant uses a division-free expansion
-(memoized cofactor expansion over column subsets), and inverses exist only
-for unit determinants, via the adjugate.
+Everything is exact. Determinants and inverses share one Bareiss
+fraction-free elimination, whose divisions are exact in Z[t, t^-1];
+inverses exist only for unit determinants +-t^k.
 """
 
 from __future__ import annotations
@@ -97,74 +97,66 @@ def mat_mul(a: LPMatrix, b: LPMatrix) -> LPMatrix:
     return LPMatrix(out)
 
 
-def mat_det(a: LPMatrix) -> LaurentPoly:
-    """Exact determinant, division-free.
+def _bareiss(rows, jordan):
+    """Bareiss fraction-free elimination of `rows` in place; returns the last pivot.
 
-    Dynamic Laplace expansion: minors of the first k rows are indexed by
-    k-subsets of columns, so shared sub-minors are computed once. Cost is
-    about n * 2^n polynomial operations, fine for the sizes used here.
+    `rows` holds n lists of LaurentPoly, each at least n long. The pivot of
+    column k is the first row from k down with a nonzero entry there,
+    swapped in and negated so the determinant of the left n x n block is
+    kept. Entries right of column k become (pivot * x - row[k] * pivot_row[j])
+    divided exactly by the previous pivot (Sylvester's identity; Bareiss,
+    Math. Comp. 22, 1968), in the rows below the pivot, and with `jordan` in
+    those above too, which leaves det(A) * A^-1 in the right block of [A | I].
+    Entries at or left of the pivot column go stale. The last pivot is the
+    determinant of the left block, or ZERO when some column has no pivot.
     """
-    n = a.n
-    if n == 0:
-        return ONE
-    # minors[mask] = det of rows 0..k-1, columns in mask (popcount k)
-    minors = {0: ONE}
+    n = len(rows)
+    prev = ONE
     for k in range(n):
-        row = a.entries[k]
-        new = {}
-        for mask, sub in minors.items():
-            if not sub:
-                continue
-            # expanding along local row k: entry sign is (-1)^(k + local column)
-            sign = 1 if k % 2 == 0 else -1
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    sign = -sign
-                    continue
-                if row[j]:
-                    term = sub * row[j]
-                    if sign < 0:
-                        term = -term
-                    newmask = mask | bit
-                    if newmask in new:
-                        new[newmask] = new[newmask] + term
-                    else:
-                        new[newmask] = term
-        minors = new
-        if not minors:
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
             return ZERO
-    return minors.get((1 << n) - 1, ZERO)
+        if p != k:
+            rows[k], rows[p] = [-e for e in rows[p]], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i == k:
+                continue
+            row = rows[i]
+            neg_f = -row[k]
+            for j in range(k + 1, len(row)):
+                e = pivot * row[j]
+                if neg_f and pivot_row[j]:
+                    e = e + neg_f * pivot_row[j]
+                row[j] = e.exact_div(prev)
+        prev = pivot
+    return prev
 
 
-def _minor(a: LPMatrix, i, j):
-    rows = [
-        [e for jj, e in enumerate(row) if jj != j]
-        for ii, row in enumerate(a.entries)
-        if ii != i
-    ]
-    return LPMatrix(rows)
+def mat_det(a: LPMatrix) -> LaurentPoly:
+    """Exact determinant by Bareiss fraction-free elimination: O(n^3) ring operations."""
+    return _bareiss([list(row) for row in a.entries], jordan=False)
 
 
 def mat_inverse(a: LPMatrix) -> LPMatrix:
-    """Inverse of a matrix whose determinant is a unit +-t^k."""
-    det = mat_det(a)
+    """Inverse of a matrix whose determinant is a unit +-t^k.
+
+    Gauss-Jordan elimination of [A | I] leaves det(A) * A^-1 in the right
+    block, which is then multiplied by det(A)^-1.
+    """
+    n = a.n
+    rows = [
+        list(row) + [ONE if i == j else ZERO for j in range(n)]
+        for i, row in enumerate(a.entries)
+    ]
+    det = _bareiss(rows, jordan=True)
     unit = det.is_unit()
     if unit is None:
         raise NonUnitDeterminantError(f"determinant {det} is not a unit of Z[t,t^-1]")
     s, k = unit
     det_inv = LaurentPoly.t_power(-k, s)  # (s*t^k)^-1 = s*t^-k since s = +-1
-    n = a.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cof = mat_det(_minor(a, j, i))  # adjugate: transposed cofactors
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * det_inv)
-        out.append(row)
-    return LPMatrix(out)
+    return LPMatrix([[e * det_inv for e in row[n:]] for row in rows])
 
 
 def block_diag(a: LPMatrix, b: LPMatrix) -> LPMatrix:

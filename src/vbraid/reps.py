@@ -28,7 +28,7 @@ from .errors import FlavorError, SizeMismatchError
 from .freegrp import FreeAut, FreeWord, aut_compose
 from .laurent import ONE, T, T_INV, LaurentPoly
 from .lpmatrix import LPMatrix
-from .perm import Permutation, p_compose, p_transposition
+from .perm import Permutation
 
 _REP_FLAVORS = frozenset({Flavor.BR, Flavor.SYM, Flavor.VB, Flavor.BP})
 
@@ -132,10 +132,14 @@ def aut_rep(w: GroupWord, n: int | None = None) -> FreeAut:
 def perm_proj(w: GroupWord) -> Permutation:
     """Projection onto the symmetric group: every letter to the transposition (i, i+1)."""
     _require_rep_flavor(w)
-    acc = Permutation.identity(w.n)
+    at = list(range(w.n + 1))  # at[p] = strand now at position p
     for lt in w.letters:
-        acc = p_compose(p_transposition(lt.index, w.n), acc)
-    return acc
+        i = lt.index
+        at[i], at[i + 1] = at[i + 1], at[i]
+    images = [0] * w.n
+    for p in range(1, w.n + 1):
+        images[at[p] - 1] = p
+    return Permutation(images)
 
 
 def exp_sum(w: GroupWord) -> int:

@@ -146,6 +146,14 @@ class TestRelators:
             relators("vb", 1)
 
 
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_rewrite_rules_distinct_by_content(flavor):
+    for n in range(2, 8):
+        rules = rewrite_rules(flavor, n)
+        pairs = {(r.lhs.letters, r.rhs.letters) for r in rules}
+        assert len(pairs) == len(rules), n
+
+
 class TestInvert:
     def test_mixed_word(self):
         w = parse_word("s1 z1", "vb", 2)

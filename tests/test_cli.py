@@ -138,3 +138,9 @@ class TestEqual:
         monkeypatch.setenv("VBRAID_BFS_DEPTH", "0")
         code, out, _ = run(capsys, "equal", "--flavor", "sym", "-n", "3", "z1 z2 z1", "z2 z1 z2")
         assert code == 10 and out == "unknown\n"
+
+    def test_bad_depth_env_exit_2(self, capsys, monkeypatch):
+        for bad in ("banana", "-1", "2.5", ""):
+            monkeypatch.setenv("VBRAID_BFS_DEPTH", bad)
+            code, out, err = run(capsys, "equal", "-n", "3", "s1 s2 z1", "z2 s1 s2")
+            assert code == 2 and out == "" and "VBRAID_BFS_DEPTH" in err

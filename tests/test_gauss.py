@@ -6,15 +6,11 @@ from vbraid.errors import (
     GaussSyntaxError,
     LabelCountError,
     NotAKnotError,
+    SizeMismatchError,
 )
-from vbraid.gauss import (
-    GaussCode,
-    closure_code,
-    closure_permutation,
-    parse_gauss,
-    render_gauss,
-)
+from vbraid.gauss import GaussCode, closure_code, parse_gauss
 from vbraid.perm import Permutation
+from vbraid.reps import perm_proj
 
 
 class TestParse:
@@ -58,7 +54,7 @@ class TestParse:
 
     def test_render_round_trip(self):
         text = "O1U2O3U1O2U3"
-        assert render_gauss(parse_gauss(text)) == text
+        assert str(parse_gauss(text)) == text
 
 
 class TestRotation:
@@ -81,13 +77,14 @@ class TestRotation:
 
 
 class TestClosurePermutation:
-    def test_virtual_letters_count(self):
-        w = parse_word("z1 s2", "vb", 3)
-        assert closure_permutation(w) == Permutation([3, 1, 2])
-
     def test_exponent_blind(self):
+        # closure_code walks the strands by perm_proj, so an inverse letter
+        # closes up exactly as its positive twin does
         w = parse_word("s1^-1", "vb", 2)
-        assert closure_permutation(w) == Permutation([2, 1])
+        assert perm_proj(w) == Permutation([2, 1])
+        assert len(closure_code(w).visits) == len(
+            closure_code(parse_word("s1", "vb", 2)).visits
+        )
 
 
 class TestClosureCode:
@@ -121,6 +118,10 @@ class TestClosureCode:
     def test_monoid_flavor_rejected(self):
         with pytest.raises(FlavorError):
             closure_code(parse_word("a1", "sb", 2))
+
+    def test_strand_count_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            closure_code(parse_word("s1 s2", "vb", 3), n=4)
 
     def test_each_crossing_visited_over_and_under(self):
         w = parse_word("s1 s2 s1 z2", "vb", 3)

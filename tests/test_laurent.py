@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly, lp_add, lp_is_unit, lp_mul
+from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 
 
 def poly(d):
@@ -21,51 +21,51 @@ polys = st.dictionaries(
 
 class TestAdd:
     def test_cancellation(self):
-        assert lp_add(poly({0: 1, 1: -1}), T) == ONE
+        assert poly({0: 1, 1: -1}) + T == ONE
 
     def test_additive_identity(self):
         one_minus_t = poly({0: 1, 1: -1})
-        assert lp_add(ZERO, one_minus_t) == one_minus_t
+        assert ZERO + one_minus_t == one_minus_t
 
     def test_partial_cancellation(self):
-        assert lp_add(poly({-1: 1, 1: 1}), poly({1: -1})) == T_INV
+        assert poly({-1: 1, 1: 1}) + poly({1: -1}) == T_INV
 
 
 class TestMul:
     def test_unit_times_inverse(self):
-        assert lp_mul(poly({1: -1}), poly({-1: -1})) == ONE
+        assert poly({1: -1}) * poly({-1: -1}) == ONE
 
     def test_multiplicative_identity(self):
         one_minus_t = poly({0: 1, 1: -1})
-        assert lp_mul(one_minus_t, ONE) == one_minus_t
+        assert one_minus_t * ONE == one_minus_t
 
     def test_square(self):
         # (1 - t)^2 = 1 - 2t + t^2, convolved by hand
         one_minus_t = poly({0: 1, 1: -1})
-        assert lp_mul(one_minus_t, one_minus_t) == poly({0: 1, 1: -2, 2: 1})
+        assert one_minus_t * one_minus_t == poly({0: 1, 1: -2, 2: 1})
 
 
 class TestIsUnit:
     def test_minus_t(self):
-        assert lp_is_unit(poly({1: -1})) == (-1, 1)
+        assert poly({1: -1}).is_unit() == (-1, 1)
 
     def test_one(self):
-        assert lp_is_unit(ONE) == (1, 0)
+        assert ONE.is_unit() == (1, 0)
 
     def test_two_terms_not_a_unit(self):
-        assert lp_is_unit(poly({0: 1, 1: -1})) is None
+        assert poly({0: 1, 1: -1}).is_unit() is None
 
     def test_non_unit_coefficient(self):
-        assert lp_is_unit(poly({3: 2})) is None
+        assert poly({3: 2}).is_unit() is None
 
     def test_unit_times_its_inverse_is_one(self):
         rng = random.Random(7)
         for _ in range(50):
             s, k = rng.choice((1, -1)), rng.randrange(-5, 6)
             a = LaurentPoly.t_power(k, s)
-            sk = lp_is_unit(a)
+            sk = a.is_unit()
             assert sk == (s, k)
-            assert lp_mul(a, LaurentPoly.t_power(-k, s)) == ONE
+            assert a * LaurentPoly.t_power(-k, s) == ONE
 
 
 def test_canonical_form_never_stores_zero():
@@ -131,6 +131,25 @@ def test_exact_div():
         poly({0: 1, 1: 1}).exact_div(poly({0: 2}))
     with pytest.raises(ZeroDivisionError):
         ONE.exact_div(ZERO)
+
+
+def test_exact_div_inexact_raises():
+    # non-monomial divisors whose division leaves a remainder, including
+    # dividends of smaller span than the divisor
+    for a, b in (
+        (ONE, ONE - T),
+        (poly({0: 1, 1: 1}), poly({0: 1, 1: -1})),
+        (poly({-3: 2, 2: 5}), poly({0: 1, 1: 1, 2: 1})),
+        (poly({0: 1, 2: 1}), poly({0: 2, 1: 2})),
+    ):
+        with pytest.raises(ValueError):
+            a.exact_div(b)
+
+
+@given(polys, polys)
+def test_exact_div_inverts_mul(a, b):
+    if not b.is_zero():
+        assert (a * b).exact_div(b) == a
 
 
 def test_pow():

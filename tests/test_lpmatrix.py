@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from vbraid.braidword import Letter
+from conftest import random_word
+
+from vbraid.braidword import Flavor, Letter, invert_word
 from vbraid.errors import DimensionMismatchError, NonUnitDeterminantError
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import LPMatrix, block_diag, mat_det, mat_inverse, mat_mul
-from vbraid.reps import burau_generator
+from vbraid.reps import burau, burau_generator, exp_sum, zeta_count
 
 ONE_MINUS_T = ONE - T
 
@@ -63,6 +65,80 @@ class TestDet:
             assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
 
 
+def subset_dp_det(a):
+    """Reference determinant: Laplace expansion memoized over column subsets.
+
+    minors[mask] is the determinant of rows 0..k-1 restricted to the columns
+    in mask; about n * 2^n ring operations and no division.
+    """
+    n = a.n
+    minors = {0: ONE}
+    for k in range(n):
+        row = a.entries[k]
+        new = {}
+        for mask, sub in minors.items():
+            if not sub:
+                continue
+            # expanding along local row k: entry sign is (-1)^(k + local column)
+            sign = 1 if k % 2 == 0 else -1
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    sign = -sign
+                    continue
+                if row[j]:
+                    term = sub * row[j] if sign > 0 else -(sub * row[j])
+                    new[mask | bit] = new.get(mask | bit, ZERO) + term
+        minors = new
+    return minors.get((1 << n) - 1, ZERO)
+
+
+def _random_poly(rng):
+    return LaurentPoly(
+        {rng.randrange(-2, 3): rng.randrange(-3, 4) for _ in range(rng.randrange(3))}
+    )
+
+
+def _random_matrix(rng, n, kind):
+    if kind == "unit":
+        # a Burau product with its rows permuted and scaled by units
+        m = _random_burau_product(rng, n, length=8) if n > 1 else LPMatrix([[T]])
+        rows = list(m.entries)
+        rng.shuffle(rows)
+        units = [LaurentPoly.t_power(rng.randrange(-2, 3), rng.choice((1, -1))) for _ in rows]
+        return LPMatrix([[e * u for e in row] for row, u in zip(rows, units)])
+    rows = [[_random_poly(rng) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        # the last row a combination of earlier rows, or zero when there are none
+        a, b = _random_poly(rng), _random_poly(rng)
+        x, y = rows[0], rows[max(n - 2, 0)]
+        rows[-1] = [a * p + b * q for p, q in zip(x, y)] if n > 1 else [ZERO]
+    return LPMatrix(rows)
+
+
+@pytest.mark.parametrize("kind", ["unit", "nonunit", "singular"])
+def test_det_matches_subset_dp(kind):
+    rng = random.Random(f"det:{kind}")
+    for n in range(1, 8):
+        for _ in range(12 if n < 6 else 4):
+            m = _random_matrix(rng, n, kind)
+            d = mat_det(m)
+            assert d == subset_dp_det(m), (kind, n)
+            if kind == "unit":
+                assert d.is_unit() is not None
+            if kind == "singular":
+                assert d == ZERO
+
+
+def test_det_closed_form_at_n24():
+    # det Burau(w) = (-t)^exp_sum * (-1)^zeta_count, far past the subset DP's reach
+    rng = random.Random(24)
+    for _ in range(3):
+        w = random_word(rng, Flavor.VB, 24, 60)
+        expected = LaurentPoly.t_power(exp_sum(w), (-1) ** (exp_sum(w) + zeta_count(w)))
+        assert mat_det(burau(w)) == expected
+
+
 def _random_burau_product(rng, n, length=6):
     m = LPMatrix.identity(n)
     for _ in range(length):
@@ -86,6 +162,18 @@ class TestInverse:
         m = LPMatrix([[ONE_MINUS_T, T], [ONE_MINUS_T, T]])
         with pytest.raises(NonUnitDeterminantError):
             mat_inverse(m)
+
+    def test_non_unit_determinant_raises(self):
+        for m in (LPMatrix([[ONE + T]]), LPMatrix([[ONE, T], [T, ONE]])):
+            with pytest.raises(NonUnitDeterminantError):
+                mat_inverse(m)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_burau_inverse_is_burau_of_inverse_word(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            w = random_word(rng, Flavor.VB, n, 40)
+            assert mat_inverse(burau(w)) == burau(invert_word(w))
 
     def test_left_and_right_inverse_on_random(self):
         rng = random.Random(5)

@@ -160,6 +160,9 @@ class TestPermProj:
     def test_exponent_blind(self):
         assert perm_proj(parse_word("s1^-1", "vb", 2)) == Permutation([2, 1])
 
+    def test_virtual_letters_count(self):
+        assert perm_proj(parse_word("z1 s2", "vb", 3)) == Permutation([3, 1, 2])
+
     def test_symmetric_group_section(self):
         # words in virtual letters only: perm_proj of the inclusion into VB_n
         # equals direct evaluation of the transposition product
