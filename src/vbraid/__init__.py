@@ -33,6 +33,7 @@ from .errors import (
     LabelCountError,
     LetterNotAllowedError,
     MonoidHasNoInversesError,
+    NegativeDepthError,
     NonUnitDeterminantError,
     NotAKnotError,
     SizeMismatchError,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
 from typing import Optional
 
 from .errors import (
@@ -21,6 +23,7 @@ from .errors import (
     InverseNotAllowedError,
     LetterNotAllowedError,
     MonoidHasNoInversesError,
+    NegativeDepthError,
     SizeMismatchError,
     WordSyntaxError,
 )
@@ -353,9 +356,14 @@ def rewrite_rules(flavor, n: int):
     """Relators plus the free-cancellation rules of invertible generators.
 
     Cancellation pairs are explicit rules so every search step is a pure
-    subword splice; witnesses then replay exactly by splicing.
+    subword splice; witnesses then replay exactly by splicing. Built once
+    per (flavor, n); every call for that pair returns the same tuple.
     """
-    flavor = Flavor(flavor)
+    return _rewrite_rules(Flavor(flavor), n)
+
+
+@lru_cache(maxsize=None)
+def _rewrite_rules(flavor, n):
     pres = relators(flavor, n)
     rules = list(pres.relators)
     existing = {(r.lhs.letters, r.rhs.letters) for r in rules}
@@ -379,10 +387,7 @@ def rewrite_rules(flavor, n: int):
     return tuple(rules)
 
 
-def apply_step(w: GroupWord, step: RewriteStep, rules) -> GroupWord:
-    """Apply one rewrite step by splicing; raises if the pattern does not match."""
-    by_name = {r.name: r for r in rules}
-    rule = by_name[step.rule]
+def _splice(w: GroupWord, step: RewriteStep, rule: Relator) -> GroupWord:
     src, dst = (
         (rule.lhs, rule.rhs) if step.direction == 1 else (rule.rhs, rule.lhs)
     )
@@ -392,26 +397,95 @@ def apply_step(w: GroupWord, step: RewriteStep, rules) -> GroupWord:
     return w.replace(w.letters[:p] + dst.letters + w.letters[p + len(src) :])
 
 
+def apply_step(w: GroupWord, step: RewriteStep, rules) -> GroupWord:
+    """Apply one rewrite step by splicing; raises if the pattern does not match."""
+    return _splice(w, step, {r.name: r for r in rules}[step.rule])
+
+
 def replay_witness(w: GroupWord, witness, rules) -> GroupWord:
+    by_name = {r.name: r for r in rules}
     for step in witness:
-        w = apply_step(w, step, rules)
+        w = _splice(w, step, by_name[step.rule])
     return w
 
 
-def _neighbors(letters, rules, max_len):
-    for rule in rules:
-        for src, dst, direction in (
-            (rule.lhs.letters, rule.rhs.letters, 1),
-            (rule.rhs.letters, rule.lhs.letters, -1),
-        ):
-            if len(letters) - len(src) + len(dst) > max_len:
-                continue
-            for p in range(len(letters) - len(src) + 1):
-                if letters[p : p + len(src)] == src:
-                    yield (
-                        letters[:p] + dst + letters[p + len(src) :],
-                        RewriteStep(rule.name, direction, p),
+_KIND_CODE = {"s": 0, "z": 1, "a": 2}
+
+
+def _code(lt: Letter) -> int:
+    """A small int for every letter: distinct letters get distinct codes."""
+    return lt.index * 6 + _KIND_CODE[lt.kind] * 2 + (lt.exponent < 0)
+
+
+class RewriteEngine:
+    """The rewrite rules of one (flavor, n), compiled for the search.
+
+    Move ``2*k`` applies rule k left to right and move ``2*k + 1`` right to
+    left; both rewrite int-coded letter tuples. Moves are indexed by the
+    first code of their source. Moves with an empty source insert at every
+    position and are kept apart.
+    """
+
+    __slots__ = ("rules", "by_first", "inserts")
+
+    def __init__(self, rules):
+        self.rules = rules
+        self.by_first = {}  # first code of src -> [(move, src, dst, growth)]
+        self.inserts = []  # [(move, dst)] for moves whose src is empty
+        for k, rule in enumerate(rules):
+            lhs = tuple(_code(lt) for lt in rule.lhs.letters)
+            rhs = tuple(_code(lt) for lt in rule.rhs.letters)
+            for move, src, dst in ((2 * k, lhs, rhs), (2 * k + 1, rhs, lhs)):
+                if src:
+                    self.by_first.setdefault(src[0], []).append(
+                        (move, src, dst, len(dst) - len(src))
                     )
+                else:
+                    self.inserts.append((move, dst))
+
+    def matches(self, word, max_len):
+        """Every (move, position, dst, len(src)) that rewrites word within
+        max_len, in database order of the moves, then left to right."""
+        room = max_len - len(word)
+        found = []
+        for p, c in enumerate(word):
+            for move, src, dst, growth in self.by_first.get(c, ()):
+                if growth <= room and word[p : p + len(src)] == src:
+                    found.append((move, p, dst, len(src)))
+        for move, dst in self.inserts:
+            if len(dst) <= room:
+                found.extend(
+                    zip(repeat(move), range(len(word) + 1), repeat(dst), repeat(0))
+                )
+        found.sort()
+        return found
+
+    def step(self, move, position, inverted=False):
+        direction = -1 if move & 1 else 1
+        return RewriteStep(
+            self.rules[move >> 1].name,
+            -direction if inverted else direction,
+            position,
+        )
+
+
+def rewrite_engine(flavor, n: int) -> RewriteEngine:
+    """The compiled rules of (flavor, n); built on first use, then shared."""
+    return _rewrite_engine(Flavor(flavor), n)
+
+
+@lru_cache(maxsize=None)
+def _rewrite_engine(flavor, n):
+    return RewriteEngine(_rewrite_rules(flavor, n))
+
+
+def _links_to_root(seen, node):
+    """The (move, position) links from node back to its search root."""
+    links = []
+    while (link := seen[node]) is not None:
+        node, move, p = link
+        links.append((move, p))
+    return links
 
 
 def bfs_equal(
@@ -423,22 +497,26 @@ def bfs_equal(
     derivation of at most `depth` rewrite steps exists within the length cap.
     Unknown is never a claim of inequality. Exploration order (rules in
     database order, positions left to right) makes the witness deterministic.
+    Raises NegativeDepthError if depth < 0.
     """
     if w1.flavor != w2.flavor or w1.n != w2.n:
         raise SizeMismatchError("words must share flavor and strand count")
+    if depth < 0:
+        raise NegativeDepthError(f"search depth must be >= 0, got {depth}")
     if max_len is None:
         max_len = max(len(w1), len(w2)) + 2 * depth
-    rules = rewrite_rules(w1.flavor, w1.n)
+    engine = rewrite_engine(w1.flavor, w1.n)
 
     if w1.letters == w2.letters:
         return EqualityResult(True, ())
 
-    # forward paths are steps from w1; backward paths are steps from w2,
-    # inverted and reversed on meeting
-    fwd = {w1.letters: ()}
-    bwd = {w2.letters: ()}
-    frontier_f = [w1.letters]
-    frontier_b = [w2.letters]
+    start_f = tuple(_code(lt) for lt in w1.letters)
+    start_b = tuple(_code(lt) for lt in w2.letters)
+    # each visited word maps to (parent, move, position), roots to None
+    fwd = {start_f: None}
+    bwd = {start_b: None}
+    frontier_f = [start_f]
+    frontier_b = [start_b]
     used = 0
 
     while used < depth and (frontier_f or frontier_b):
@@ -448,21 +526,31 @@ def bfs_equal(
         seen = fwd if expand_forward else bwd
         other = bwd if expand_forward else fwd
         new_frontier = []
-        for letters in frontier:
-            path = seen[letters]
-            for nxt, step in _neighbors(letters, rules, max_len):
-                if nxt in seen:
+        # the last layer is never expanded, so its words are only looked up
+        # in the other map; a word already seen cannot be there, or the
+        # search would have stopped when it entered the second map
+        last = used == depth - 1
+        for word in frontier:
+            for move, p, dst, k in engine.matches(word, max_len):
+                nxt = word[:p] + dst + word[p + k :]
+                if last:
+                    if nxt not in other:
+                        continue
+                elif nxt in seen:
                     continue
-                seen[nxt] = path + (step,)
+                seen[nxt] = (word, move, p)
                 if nxt in other:
-                    if expand_forward:
-                        fpath, bpath = seen[nxt], other[nxt]
-                    else:
-                        fpath, bpath = other[nxt], seen[nxt]
-                    witness = fpath + tuple(
-                        s.inverted() for s in reversed(bpath)
-                    )
-                    return EqualityResult(True, witness)
+                    # w1 to nxt by the forward links, then nxt back to w2 by
+                    # undoing the backward links
+                    witness = [
+                        engine.step(m, q)
+                        for m, q in reversed(_links_to_root(fwd, nxt))
+                    ]
+                    witness += [
+                        engine.step(m, q, inverted=True)
+                        for m, q in _links_to_root(bwd, nxt)
+                    ]
+                    return EqualityResult(True, tuple(witness))
                 new_frontier.append(nxt)
         if expand_forward:
             frontier_f = new_frontier

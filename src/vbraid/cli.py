@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 domain
 error, 4 precondition failure, 10 unknown (bounded equality search gave no
 answer; not an error). VBRAID_BFS_DEPTH overrides the default search depth;
-a value that is not a non-negative integer is a parse error (exit 2).
+a value that is not a non-negative integer, in it or in --depth, is a parse
+error (exit 2).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .braidword import bfs_equal, free_reduce, parse_word
 from .errors import (
     FlavorError,
     MonoidHasNoInversesError,
+    NegativeDepthError,
     NonUnitDeterminantError,
     NotAKnotError,
     SizeMismatchError,
@@ -167,7 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except WordSyntaxError as exc:
+    except (WordSyntaxError, NegativeDepthError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NonUnitDeterminantError, NotAKnotError) as exc:

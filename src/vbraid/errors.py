@@ -55,3 +55,7 @@ class LabelCountError(GaussSyntaxError):
 
 class NotAKnotError(VbraidError):
     """Braid closure has more than one component."""
+
+
+class NegativeDepthError(VbraidError, ValueError):
+    """A bounded search was asked for a negative number of rewrite steps."""

@@ -155,10 +155,14 @@ def aut_apply(f: FreeAut, w: FreeWord) -> FreeWord:
     """Substitute generator images into w and freely reduce."""
     if w.max_generator() > f.n:
         raise SizeMismatchError("word mentions a generator beyond the rank")
-    out = FreeWord.empty()
+    # concatenate the images, then freely reduce them in one stack pass,
+    # linear in the number of image letters
+    letters = []
     for gen, exp in w.letters:
         img = f.images[gen - 1]
-        out = fw_concat(out, img if exp == 1 else img.inverse())
+        letters += (img if exp == 1 else img.inverse()).letters
+    out = FreeWord.__new__(FreeWord)
+    object.__setattr__(out, "letters", _reduce(letters))
     return out
 
 

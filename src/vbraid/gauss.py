@@ -123,21 +123,36 @@ def closure_code(w: GroupWord, n: int | None = None) -> GaussCode:
     if not p_is_cycle(perm_proj(w)):
         raise NotAKnotError("closure has more than one component")
 
+    # after[step] = (next step touching position i, next touching i + 1) for
+    # the letter at step on positions i, i + 1; first[p] = first step touching p
+    letters = w.letters
+    first = [None] * (n + 2)
+    after = [None] * len(letters)
+    for step in reversed(range(len(letters))):
+        i = letters[step].index
+        after[step] = (first[i], first[i + 1])
+        first[i] = first[i + 1] = step
+
     labels = {}  # crossing, identified by its letter index in the word -> label
     visits = []
     pos = 1
+    step = first[pos]
+    passes = 0
     # the closure permutation is an n-cycle, so the walker passes through
     # the braid exactly n times before returning to the start
-    for _ in range(n):
-        for step, lt in enumerate(w.letters):
-            i = lt.index
-            if pos not in (i, i + 1):
-                continue
-            if lt.kind == "s":
-                if step not in labels:
-                    labels[step] = len(labels) + 1
-                entering_low = pos == i
-                over = entering_low if lt.exponent == 1 else not entering_low
-                visits.append((OVER if over else UNDER, labels[step]))
-            pos = i + 1 if pos == i else i
+    while passes < n:
+        if step is None:  # bottom of the braid: close up to the top
+            passes += 1
+            step = first[pos]
+            continue
+        lt = letters[step]
+        i = lt.index
+        if lt.kind == "s":
+            if step not in labels:
+                labels[step] = len(labels) + 1
+            entering_low = pos == i
+            over = entering_low if lt.exponent == 1 else not entering_low
+            visits.append((OVER if over else UNDER, labels[step]))
+        pos = i + 1 if pos == i else i
+        step = after[step][pos - i]
     return GaussCode(tuple(visits))

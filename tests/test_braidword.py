@@ -1,12 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import random_word
 
+from vbraid import braidword
 from vbraid.braidword import (
+    EqualityResult,
     Flavor,
     GroupWord,
     Letter,
+    RewriteStep,
     S,
     Z,
     bfs_equal,
@@ -15,6 +22,7 @@ from vbraid.braidword import (
     parse_word,
     relators,
     replay_witness,
+    rewrite_engine,
     rewrite_rules,
 )
 from vbraid.errors import (
@@ -23,6 +31,7 @@ from vbraid.errors import (
     InverseNotAllowedError,
     LetterNotAllowedError,
     MonoidHasNoInversesError,
+    NegativeDepthError,
     SizeMismatchError,
     WordSyntaxError,
 )
@@ -224,11 +233,169 @@ class TestBfsEqual:
                 assert res.equal
                 assert replay_witness(w2, res.witness, rules) == w3
 
+    def test_negative_depth_rejected(self):
+        w = parse_word("s1 s1^-1", "vb", 2)
+        with pytest.raises(NegativeDepthError):
+            bfs_equal(w, parse_word("", "vb", 2), -1)
+        # a plain ValueError handler still catches it
+        with pytest.raises(ValueError):
+            bfs_equal(w, w, -1)
+
     def test_mismatch_rejected(self):
         with pytest.raises(SizeMismatchError):
             bfs_equal(parse_word("s1", "vb", 2), parse_word("s1", "vb", 3), 1)
         with pytest.raises(SizeMismatchError):
             bfs_equal(parse_word("s1", "vb", 2), parse_word("s1", "br", 2), 1)
+
+
+# ---------------------------------------------------------------------------
+# The compiled search against the search it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_neighbors(letters, rules, max_len):
+    for rule in rules:
+        for src, dst, direction in (
+            (rule.lhs.letters, rule.rhs.letters, 1),
+            (rule.rhs.letters, rule.lhs.letters, -1),
+        ):
+            if len(letters) - len(src) + len(dst) > max_len:
+                continue
+            for p in range(len(letters) - len(src) + 1):
+                if letters[p : p + len(src)] == src:
+                    yield (
+                        letters[:p] + dst + letters[p + len(src) :],
+                        RewriteStep(rule.name, direction, p),
+                    )
+
+
+def reference_bfs_equal(w1, w2, depth=6, max_len=None):
+    """bfs_equal as first written: every rule scanned at every position, and
+    each visited word stores its whole path of RewriteSteps."""
+    if w1.flavor != w2.flavor or w1.n != w2.n:
+        raise SizeMismatchError("words must share flavor and strand count")
+    if max_len is None:
+        max_len = max(len(w1), len(w2)) + 2 * depth
+    rules = rewrite_rules(w1.flavor, w1.n)
+
+    if w1.letters == w2.letters:
+        return EqualityResult(True, ())
+
+    fwd = {w1.letters: ()}
+    bwd = {w2.letters: ()}
+    frontier_f = [w1.letters]
+    frontier_b = [w2.letters]
+    used = 0
+
+    while used < depth and (frontier_f or frontier_b):
+        expand_forward = len(frontier_f) <= len(frontier_b)
+        frontier = frontier_f if expand_forward else frontier_b
+        seen = fwd if expand_forward else bwd
+        other = bwd if expand_forward else fwd
+        new_frontier = []
+        for letters in frontier:
+            path = seen[letters]
+            for nxt, step in _reference_neighbors(letters, rules, max_len):
+                if nxt in seen:
+                    continue
+                seen[nxt] = path + (step,)
+                if nxt in other:
+                    if expand_forward:
+                        fpath, bpath = seen[nxt], other[nxt]
+                    else:
+                        fpath, bpath = other[nxt], seen[nxt]
+                    witness = fpath + tuple(
+                        s.inverted() for s in reversed(bpath)
+                    )
+                    return EqualityResult(True, witness)
+                new_frontier.append(nxt)
+        if expand_forward:
+            frontier_f = new_frontier
+        else:
+            frontier_b = new_frontier
+        used += 1
+
+    return EqualityResult(False, None)
+
+
+def _random_rewrites(rng, w, steps):
+    """w after up to `steps` rewrites, each picked at random among all matches."""
+    rules = rewrite_rules(w.flavor, w.n)
+    letters = w.letters
+    for _ in range(steps):
+        moves = list(_reference_neighbors(letters, rules, len(letters) + 2))
+        if moves:
+            letters = rng.choice(moves)[0]
+    return w.replace(letters)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_compiled_search_matches_reference(flavor):
+    rng = random.Random(f"compiled-search:{flavor.value}")
+    answers = set()
+    for n in range(2, 7):
+        for depth in range(5):
+            for _ in range(2):
+                w1 = random_word(rng, flavor, n, rng.randrange(0, 4))
+                for w2 in (
+                    _random_rewrites(rng, w1, rng.randrange(1, 4)),
+                    random_word(rng, flavor, n, rng.randrange(0, 4)),
+                ):
+                    expected = reference_bfs_equal(w1, w2, depth)
+                    assert bfs_equal(w1, w2, depth) == expected, (n, depth, w1, w2)
+                    answers.add((expected.equal, bool(expected.witness)))
+    # both answers, and witnesses with steps, came up
+    assert answers == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "flavor, n, text1, text2, depth",
+    [
+        ("sym", 2, "", "z1 z1", 1),  # forward insertion of zeta_sq
+        ("vb", 3, "s2", "s1^-1 s1 s2", 2),  # backward search inserts
+        ("sg", 3, "a1", "a1 a2 a2^-1", 3),
+        ("br", 4, "s1 s3", "s3 s1 s2 s2^-1", 3),
+        ("bp", 4, "s1 z2", "s1 z2", 0),  # identical: answered at depth 0
+        ("vb", 3, "s1", "s2", 0),  # distinct words at depth 0: unknown
+        ("sb", 3, "s1 s1^-1 a2", "a2", 0),
+    ],
+)
+def test_compiled_search_insertions_and_depth_zero(flavor, n, text1, text2, depth):
+    w1, w2 = parse_word(text1, flavor, n), parse_word(text2, flavor, n)
+    result = bfs_equal(w1, w2, depth)
+    assert result == reference_bfs_equal(w1, w2, depth)
+    if len(w1) < len(w2):
+        # w2 is longer, so some step inserts an empty-source side
+        rules = {r.name: r for r in rewrite_rules(flavor, n)}
+        assert any(
+            s.direction == -1 and not rules[s.rule].rhs.letters
+            for s in result.witness
+        )
+        assert replay_witness(w1, result.witness, rules.values()) == w2
+
+
+def test_engine_compiled_once_per_flavor_and_n():
+    engine = rewrite_engine("vb", 3)
+    assert rewrite_engine("vb", 3) is engine
+    assert rewrite_engine(Flavor.VB, 3) is engine
+    assert rewrite_engine("vb", 4) is not engine
+    assert engine.rules is rewrite_rules(Flavor.VB, 3)
+    assert rewrite_rules("vb", 3) is engine.rules
+    built = braidword._rewrite_engine.cache_info().misses
+    w1, w2 = parse_word("s1 s2 s1", "vb", 3), parse_word("s2 s1 s2", "vb", 3)
+    assert bfs_equal(w1, w2, 2).equal and bfs_equal(w2, w1, 2).equal
+    assert braidword._rewrite_engine.cache_info().misses == built
+
+
+def test_import_compiles_nothing():
+    code = (
+        "import vbraid, vbraid.braidword as b; "
+        "assert b._rewrite_engine.cache_info().currsize == 0; "
+        "assert b._rewrite_rules.cache_info().currsize == 0"
+    )
+    src = str(Path(braidword.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_flavor_letter_validation():

@@ -144,3 +144,7 @@ class TestEqual:
             monkeypatch.setenv("VBRAID_BFS_DEPTH", bad)
             code, out, err = run(capsys, "equal", "-n", "3", "s1 s2 z1", "z2 s1 s2")
             assert code == 2 and out == "" and "VBRAID_BFS_DEPTH" in err
+
+    def test_negative_depth_exit_2(self, capsys):
+        code, out, err = run(capsys, "equal", "-n", "2", "--depth", "-1", "s1 s1^-1", "")
+        assert code == 2 and out == "" and "depth" in err

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vbraid.braidword import Letter, relators
+from vbraid.braidword import GroupWord, Letter, relators
 from vbraid.errors import SizeMismatchError
 from vbraid.freegrp import FreeAut, FreeWord, aut_apply, aut_compose, fw_concat
 from vbraid.reps import aut_rep
@@ -81,6 +83,63 @@ class TestApply:
     def test_rank_mismatch(self):
         with pytest.raises(SizeMismatchError):
             aut_apply(FreeAut.identity(2), x(3))
+
+
+def concat_aut_apply(f, w):
+    """aut_apply as first written: one fw_concat per letter, which re-copies
+    the accumulated word each time (quadratic in the image length)."""
+    out = FreeWord.empty()
+    for gen, exp in w.letters:
+        img = f.images[gen - 1]
+        out = fw_concat(out, img if exp == 1 else img.inverse())
+    return out
+
+
+def concat_aut_rep(w):
+    """aut_rep built from the test's own generator automorphisms and the
+    concatenating substitution."""
+    acc = FreeAut.identity(w.n)
+    for lt in w.letters:
+        if lt.kind == "z":
+            g = zeta_aut(lt.index, w.n)
+        elif lt.exponent == 1:
+            g = sigma_aut(lt.index, w.n)
+        else:
+            g = sigma_inv_aut(lt.index, w.n)
+        acc = FreeAut(w.n, [concat_aut_apply(g, img) for img in acc.images])
+    return acc
+
+
+@st.composite
+def rep_words(draw):
+    flavor = draw(st.sampled_from(["vb", "bp", "br"]))
+    n = draw(st.integers(2, 5))
+    kinds = "s" if flavor == "br" else "sz"
+    letter = st.builds(
+        lambda kind, i, e: Letter(kind, i, 1 if kind == "z" else e),
+        st.sampled_from(kinds),
+        st.integers(1, n - 1),
+        st.sampled_from([1, -1]),
+    )
+    return GroupWord(flavor, n, draw(st.lists(letter, max_size=25)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_words())
+def test_aut_rep_matches_concatenating_substitution(w):
+    assert aut_rep(w) == concat_aut_rep(w)
+
+
+def test_apply_matches_concatenating_substitution():
+    rng = random.Random(10)
+    for _ in range(200):
+        n = rng.randrange(2, 5)
+        f = FreeAut(n, [
+            FreeWord([(rng.randrange(1, n + 1), rng.choice((1, -1))) for _ in range(5)])
+            for _ in range(n)
+        ])
+        w = FreeWord([(rng.randrange(1, n + 1), rng.choice((1, -1))) for _ in range(8)])
+        assert aut_apply(f, w) == concat_aut_apply(f, w)
 
 
 class TestCompose:

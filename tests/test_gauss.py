@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from vbraid.braidword import parse_word
+from vbraid.braidword import GroupWord, Letter, parse_word
 from vbraid.errors import (
     FlavorError,
     GaussSyntaxError,
@@ -8,7 +10,7 @@ from vbraid.errors import (
     NotAKnotError,
     SizeMismatchError,
 )
-from vbraid.gauss import GaussCode, closure_code, parse_gauss
+from vbraid.gauss import OVER, UNDER, GaussCode, closure_code, parse_gauss
 from vbraid.perm import Permutation
 from vbraid.reps import perm_proj
 
@@ -129,3 +131,48 @@ class TestClosureCode:
         # validated by construction: would raise otherwise; also check count
         s_letters = sum(1 for lt in w.letters if lt.kind == "s")
         assert code.crossings == s_letters
+
+
+def walk_closure_code(w):
+    """closure_code as first written: the whole word is scanned once per
+    strand, O(n*L)."""
+    labels = {}
+    visits = []
+    pos = 1
+    for _ in range(w.n):
+        for step, lt in enumerate(w.letters):
+            i = lt.index
+            if pos not in (i, i + 1):
+                continue
+            if lt.kind == "s":
+                if step not in labels:
+                    labels[step] = len(labels) + 1
+                entering_low = pos == i
+                over = entering_low if lt.exponent == 1 else not entering_low
+                visits.append((OVER if over else UNDER, labels[step]))
+            pos = i + 1 if pos == i else i
+    return GaussCode(tuple(visits))
+
+
+def random_knot_word(rng, n, length):
+    """u c reversed(u), c a product of s_1..s_{n-1} in random order: the
+    permutation is a conjugate of a Coxeter element, an n-cycle."""
+
+    def letter(i):
+        if rng.random() < 0.3:
+            return Letter("z", i)
+        return Letter("s", i, rng.choice((1, -1)))
+
+    u = [letter(rng.randrange(1, n)) for _ in range(length)]
+    order = list(range(1, n))
+    rng.shuffle(order)
+    v = [letter(lt.index) for lt in reversed(u)]
+    return GroupWord("vb", n, u + [letter(i) for i in order] + v)
+
+
+def test_closure_code_matches_strand_by_strand_walk():
+    rng = random.Random(16)
+    for n in list(range(2, 12)) + [20, 30, 40]:
+        for _ in range(8):
+            w = random_knot_word(rng, n, rng.randrange(0, 40))
+            assert closure_code(w) == walk_closure_code(w), (n, str(w))
