@@ -38,6 +38,7 @@ from .errors import (
     NotAKnotError,
     SizeMismatchError,
     VbraidError,
+    WitnessError,
     WordSyntaxError,
 )
 from .freegrp import FreeAut, FreeWord, aut_apply, aut_compose, fw_concat

@@ -25,6 +25,7 @@ from .errors import (
     MonoidHasNoInversesError,
     NegativeDepthError,
     SizeMismatchError,
+    WitnessError,
     WordSyntaxError,
 )
 
@@ -101,14 +102,14 @@ class GroupWord:
         if n < 0:
             raise ValueError("strand count must be nonnegative")
         allowed = _ALLOWED_KINDS[flavor]
-        for lt in letters:
+        for pos, lt in enumerate(letters):
             if lt.kind not in allowed:
                 raise FlavorError(
                     f"letter kind {lt.kind!r} not allowed in flavor {flavor.value}"
                 )
             if lt.index > n - 1:
-                raise ValueError(
-                    f"letter index {lt.index} out of range for n={n} strands"
+                raise IndexOutOfRangeError(
+                    f"letter index {lt.index} out of range for n={n} strands", pos
                 )
             if flavor is Flavor.SB and lt.kind == "a" and lt.exponent != 1:
                 raise FlavorError("a letters are not invertible in the monoid flavor")
@@ -387,25 +388,26 @@ def _rewrite_rules(flavor, n):
     return tuple(rules)
 
 
-def _splice(w: GroupWord, step: RewriteStep, rule: Relator) -> GroupWord:
-    src, dst = (
-        (rule.lhs, rule.rhs) if step.direction == 1 else (rule.rhs, rule.lhs)
-    )
+def _splice(w: GroupWord, step: RewriteStep, rule: Optional[Relator]) -> GroupWord:
+    if rule is None:
+        raise WitnessError(f"step {step} names no rewrite rule")
+    src, dst = (rule.lhs, rule.rhs) if step.direction == 1 else (rule.rhs, rule.lhs)
     p = step.position
     if w.letters[p : p + len(src)] != src.letters:
-        raise ValueError(f"step {step} does not match word {w}")
+        raise WitnessError(f"step {step} does not match word {w}")
     return w.replace(w.letters[:p] + dst.letters + w.letters[p + len(src) :])
 
 
 def apply_step(w: GroupWord, step: RewriteStep, rules) -> GroupWord:
-    """Apply one rewrite step by splicing; raises if the pattern does not match."""
-    return _splice(w, step, {r.name: r for r in rules}[step.rule])
+    """Apply one rewrite step by splicing; raises WitnessError if it does not apply."""
+    return replay_witness(w, (step,), rules)
 
 
 def replay_witness(w: GroupWord, witness, rules) -> GroupWord:
+    """Apply the steps in order; raises WitnessError if one does not apply."""
     by_name = {r.name: r for r in rules}
     for step in witness:
-        w = _splice(w, step, by_name[step.rule])
+        w = _splice(w, step, by_name.get(step.rule))
     return w
 
 
@@ -503,12 +505,11 @@ def bfs_equal(
         raise SizeMismatchError("words must share flavor and strand count")
     if depth < 0:
         raise NegativeDepthError(f"search depth must be >= 0, got {depth}")
+    if w1.letters == w2.letters:
+        return EqualityResult(True, ())
     if max_len is None:
         max_len = max(len(w1), len(w2)) + 2 * depth
     engine = rewrite_engine(w1.flavor, w1.n)
-
-    if w1.letters == w2.letters:
-        return EqualityResult(True, ())
 
     start_f = tuple(_code(lt) for lt in w1.letters)
     start_b = tuple(_code(lt) for lt in w2.letters)

@@ -59,3 +59,7 @@ class NotAKnotError(VbraidError):
 
 class NegativeDepthError(VbraidError, ValueError):
     """A bounded search was asked for a negative number of rewrite steps."""
+
+
+class WitnessError(VbraidError, ValueError):
+    """A rewrite step names no known rule or does not match the word it rewrites."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .braidword import Flavor, GroupWord, Letter
 from .errors import FlavorError, SizeMismatchError
-from .freegrp import FreeAut, FreeWord, aut_compose
+from .freegrp import FreeAut, FreeWord
 from .laurent import ONE, T, T_INV, LaurentPoly
 from .lpmatrix import LPMatrix
 from .perm import Permutation
@@ -97,36 +97,29 @@ def burau(w: GroupWord, n: int | None = None) -> LPMatrix:
     return LPMatrix(rows)
 
 
-def _aut_generator(letter: Letter, n: int) -> FreeAut:
-    i = letter.index
-    images = [FreeWord.generator(k) for k in range(1, n + 1)]
-    xi = FreeWord.generator(i)
-    xi1 = FreeWord.generator(i + 1)
-    if letter.kind == "z":
-        images[i - 1] = xi1
-        images[i] = xi
-    elif letter.exponent == 1:
-        # x_i -> x_{i+1}, x_{i+1} -> x_{i+1}^-1 x_i x_{i+1}
-        images[i - 1] = xi1
-        images[i] = xi1.inverse() * xi * xi1
-    else:
-        # explicit inverse: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i
-        images[i - 1] = xi * xi1 * xi.inverse()
-        images[i] = xi
-    return FreeAut(n, images)
-
-
 def aut_rep(w: GroupWord, n: int | None = None) -> FreeAut:
-    """The representation in Aut F_n through the braid-permutation group."""
+    """The representation in Aut F_n through the braid-permutation group.
+
+    Built from the right as acc = acc o rho(l) for l = lk, ..., l1: a letter
+    at index i changes only the images a, b of x_i, x_{i+1}, to (b, a) for
+    z_i, (b, b^-1 a b) for s_i and (a b a^-1, a) for s_i^-1.
+    """
     _require_rep_flavor(w)
     if n is None:
         n = w.n
     if n != w.n:
         raise SizeMismatchError(f"word has {w.n} strands, asked for n={n}")
-    acc = FreeAut.identity(n)
-    for lt in w.letters:
-        acc = aut_compose(_aut_generator(lt, n), acc)
-    return acc
+    images = [FreeWord.generator(k) for k in range(1, n + 1)]
+    for lt in reversed(w.letters):
+        i = lt.index - 1
+        a, b = images[i], images[i + 1]
+        if lt.kind == "z":
+            images[i], images[i + 1] = b, a
+        elif lt.exponent == 1:
+            images[i], images[i + 1] = b, b.inverse() * a * b
+        else:
+            images[i], images[i + 1] = a * b * a.inverse(), a
+    return FreeAut(n, images)
 
 
 def perm_proj(w: GroupWord) -> Permutation:

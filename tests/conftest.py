@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import strategies as st
+
 from vbraid.braidword import Flavor, GroupWord, Letter
 
 
@@ -28,3 +30,18 @@ def random_word(rng, flavor, n, length):
 
 def make_rng(seed=0):
     return random.Random(seed)
+
+
+@st.composite
+def rep_words(draw, flavors, max_n, max_len):
+    """Words of the flavors with representations, on 2..max_n strands."""
+    flavor = Flavor(draw(st.sampled_from(flavors)))
+    n = draw(st.integers(2, max_n))
+    kinds = {Flavor.BR: "s", Flavor.SYM: "z"}.get(flavor, "sz")
+    letter = st.builds(
+        lambda kind, i, e: Letter(kind, i, 1 if kind == "z" else e),
+        st.sampled_from(kinds),
+        st.integers(1, n - 1),
+        st.sampled_from([1, -1]),
+    )
+    return GroupWord(flavor, n, draw(st.lists(letter, max_size=max_len)))

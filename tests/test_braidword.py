@@ -16,6 +16,7 @@ from vbraid.braidword import (
     RewriteStep,
     S,
     Z,
+    apply_step,
     bfs_equal,
     free_reduce,
     invert_word,
@@ -33,6 +34,7 @@ from vbraid.errors import (
     MonoidHasNoInversesError,
     NegativeDepthError,
     SizeMismatchError,
+    WitnessError,
     WordSyntaxError,
 )
 
@@ -61,6 +63,11 @@ class TestParse:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             parse_word("s3", "vb", 3)
+
+    def test_group_word_index_out_of_range(self):
+        with pytest.raises(IndexOutOfRangeError) as exc:
+            GroupWord("vb", 3, [S(1), Z(2), S(3)])
+        assert exc.value.position == 2
 
     def test_kind_not_in_flavor(self):
         with pytest.raises(LetterNotAllowedError):
@@ -197,6 +204,10 @@ class TestBfsEqual:
         w = parse_word("s1 z2 s1^-1", "vb", 3)
         result = bfs_equal(w, w, 0)
         assert result.equal and result.witness == ()
+        # no presentation exists at n < 2, but identical words need none
+        for n in (0, 1):
+            w = GroupWord("vb", n, [])
+            assert bfs_equal(w, w) == EqualityResult(True, ())
 
     def test_forbidden_pair_unknown_at_depth_4(self):
         w1 = parse_word("s1 s2 z1", "vb", 3)
@@ -232,6 +243,27 @@ class TestBfsEqual:
                 res = bfs_equal(w2, w3, 2)
                 assert res.equal
                 assert replay_witness(w2, res.witness, rules) == w3
+
+    def test_unknown_rule_in_witness(self):
+        w = parse_word("s1 s1^-1", "vb", 2)
+        rules = rewrite_rules("vb", 2)
+        step = RewriteStep("nope", 1, 0)
+        with pytest.raises(WitnessError):
+            replay_witness(w, (step,), rules)
+        with pytest.raises(WitnessError):
+            apply_step(w, step, rules)
+
+    def test_mismatched_step_in_witness(self):
+        w = parse_word("s1 s2", "vb", 3)
+        rules = rewrite_rules("vb", 3)
+        step = RewriteStep("zeta_sq:i=1", 1, 0)
+        with pytest.raises(WitnessError):
+            replay_witness(w, (step,), rules)
+        with pytest.raises(WitnessError):
+            apply_step(w, step, rules)
+        # a plain ValueError handler still catches it
+        with pytest.raises(ValueError):
+            apply_step(w, step, rules)
 
     def test_negative_depth_rejected(self):
         w = parse_word("s1 s1^-1", "vb", 2)

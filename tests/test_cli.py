@@ -148,3 +148,7 @@ class TestEqual:
     def test_negative_depth_exit_2(self, capsys):
         code, out, err = run(capsys, "equal", "-n", "2", "--depth", "-1", "s1 s1^-1", "")
         assert code == 2 and out == "" and "depth" in err
+
+    def test_identical_words_below_two_strands(self, capsys):
+        code, out, err = run(capsys, "equal", "-n", "1", "", "")
+        assert code == 0 and out == "equal\n" and err == ""

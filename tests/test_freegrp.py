@@ -1,10 +1,10 @@
 import random
 
 import pytest
+from conftest import random_word, rep_words
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from vbraid.braidword import GroupWord, Letter, relators
+from vbraid.braidword import relators
 from vbraid.errors import SizeMismatchError
 from vbraid.freegrp import FreeAut, FreeWord, aut_apply, aut_compose, fw_concat
 from vbraid.reps import aut_rep
@@ -110,24 +110,41 @@ def concat_aut_rep(w):
     return acc
 
 
-@st.composite
-def rep_words(draw):
-    flavor = draw(st.sampled_from(["vb", "bp", "br"]))
-    n = draw(st.integers(2, 5))
-    kinds = "s" if flavor == "br" else "sz"
-    letter = st.builds(
-        lambda kind, i, e: Letter(kind, i, 1 if kind == "z" else e),
-        st.sampled_from(kinds),
-        st.integers(1, n - 1),
-        st.sampled_from([1, -1]),
-    )
-    return GroupWord(flavor, n, draw(st.lists(letter, max_size=25)))
+def compose_aut_rep(w):
+    """aut_rep as first written: a full generator automorphism per letter,
+    composed onto the accumulated one with aut_compose (all n images
+    substituted per letter)."""
+    acc = FreeAut.identity(w.n)
+    for lt in w.letters:
+        images = [x(k) for k in range(1, w.n + 1)]
+        xi, xi1 = x(lt.index), x(lt.index + 1)
+        if lt.kind == "z":
+            images[lt.index - 1], images[lt.index] = xi1, xi
+        elif lt.exponent == 1:
+            images[lt.index - 1], images[lt.index] = xi1, xi1.inverse() * xi * xi1
+        else:
+            images[lt.index - 1], images[lt.index] = xi * xi1 * xi.inverse(), xi
+        acc = aut_compose(FreeAut(w.n, images), acc)
+    return acc
 
 
 @settings(max_examples=60, deadline=None)
-@given(rep_words())
+@given(rep_words(("vb", "bp", "br", "sym"), max_n=7, max_len=40))
 def test_aut_rep_matches_concatenating_substitution(w):
-    assert aut_rep(w) == concat_aut_rep(w)
+    assert aut_rep(w) == compose_aut_rep(w) == concat_aut_rep(w)
+
+
+def test_aut_rep_matches_composition_on_relators():
+    # every relator side, bare and between seeded random words
+    rng = random.Random(15)
+    for flavor in ("vb", "bp", "br", "sym"):
+        for n in range(2, 11):
+            for rel in relators(flavor, n).relators:
+                u, v = (random_word(rng, flavor, n, rng.randrange(0, 4)) for _ in range(2))
+                for side in (rel.lhs, rel.rhs):
+                    assert aut_rep(side) == compose_aut_rep(side), (flavor, n, rel.name)
+                    w = u.concat(side).concat(v)
+                    assert aut_rep(w) == compose_aut_rep(w), (flavor, n, rel.name)
 
 
 def test_apply_matches_concatenating_substitution():

@@ -1,13 +1,23 @@
 import random
 
 import pytest
-from conftest import random_word
+from conftest import random_word, rep_words
+from hypothesis import given, settings
 
-from vbraid.braidword import Flavor, GroupWord, Letter, S, Z, parse_word, relators
+from vbraid.braidword import (
+    Flavor,
+    GroupWord,
+    Letter,
+    S,
+    Z,
+    invert_word,
+    parse_word,
+    relators,
+)
 from vbraid.errors import FlavorError, SizeMismatchError
 from vbraid.freegrp import FreeWord, aut_apply, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
-from vbraid.lpmatrix import LPMatrix, mat_det, mat_mul
+from vbraid.lpmatrix import LPMatrix, mat_det, mat_inverse, mat_mul
 from vbraid.perm import Permutation, p_compose, p_transposition
 from vbraid.reps import (
     AbelianImage,
@@ -101,6 +111,15 @@ class TestDeterminantLaw:
             w = random_word(rng, Flavor.VB, n, rng.randrange(0, 25))
             expected = minus_t ** exp_sum(w) * minus_one ** zeta_count(w)
             assert mat_det(burau(w)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_words(("vb", "bp", "br"), max_n=6, max_len=30))
+def test_burau_det_closed_form_and_inverse(w):
+    expected = LaurentPoly({1: -1}) ** exp_sum(w) * LaurentPoly({0: -1}) ** zeta_count(w)
+    m = burau(w)
+    assert mat_det(m) == expected
+    assert mat_inverse(m) == burau(invert_word(w))
 
 
 class TestAutRep:
