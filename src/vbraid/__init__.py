@@ -15,7 +15,6 @@ from .braidword import (
     Presentation,
     Relator,
     RewriteStep,
-    apply_step,
     bfs_equal,
     free_reduce,
     invert_word,
@@ -25,23 +24,27 @@ from .braidword import (
     rewrite_rules,
 )
 from .errors import (
+    CheckNotApplicableError,
     DimensionMismatchError,
     FlavorError,
     GaussSyntaxError,
     IndexOutOfRangeError,
     InverseNotAllowedError,
     LabelCountError,
+    LetterError,
     LetterNotAllowedError,
     MonoidHasNoInversesError,
     NegativeDepthError,
     NonUnitDeterminantError,
     NotAKnotError,
+    ParityError,
     SizeMismatchError,
+    StrandCountError,
     VbraidError,
     WitnessError,
     WordSyntaxError,
 )
-from .freegrp import FreeAut, FreeWord, aut_apply, aut_compose, fw_concat
+from .freegrp import FreeAut, FreeWord, aut_apply, aut_compose
 from .gauss import GaussCode, closure_code, parse_gauss
 from .laurent import LaurentPoly
 from .lpmatrix import LPMatrix, block_diag, mat_det, mat_inverse, mat_mul
@@ -54,13 +57,12 @@ from .monoidal import (
     widen,
     zeta_block,
 )
-from .perm import Permutation, p_compose, p_is_cycle, p_transposition
+from .perm import Permutation, p_is_cycle
 from .reps import (
     AbelianImage,
     abelianize,
     aut_rep,
     burau,
-    burau_generator,
     exp_sum,
     perm_proj,
     to_bp,

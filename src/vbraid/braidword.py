@@ -21,10 +21,12 @@ from .errors import (
     FlavorError,
     IndexOutOfRangeError,
     InverseNotAllowedError,
+    LetterError,
     LetterNotAllowedError,
     MonoidHasNoInversesError,
     NegativeDepthError,
     SizeMismatchError,
+    StrandCountError,
     WitnessError,
     WordSyntaxError,
 )
@@ -61,13 +63,13 @@ class Letter:
 
     def __post_init__(self):
         if self.kind not in ("s", "z", "a"):
-            raise ValueError(f"unknown letter kind {self.kind!r}")
+            raise LetterError(f"unknown letter kind {self.kind!r}")
         if self.index < 1:
-            raise ValueError(f"letter index must be >= 1, got {self.index}")
+            raise LetterError(f"letter index must be >= 1, got {self.index}")
         if self.exponent not in (1, -1):
-            raise ValueError(f"letter exponent must be +-1, got {self.exponent}")
+            raise LetterError(f"letter exponent must be +-1, got {self.exponent}")
         if self.kind == "z" and self.exponent != 1:
-            raise ValueError("z letters are involutions; exponent must be +1")
+            raise LetterError("z letters are involutions; exponent must be +1")
 
     def inverse(self):
         if self.kind == "z":
@@ -100,7 +102,7 @@ class GroupWord:
         flavor = Flavor(flavor)
         letters = tuple(letters)
         if n < 0:
-            raise ValueError("strand count must be nonnegative")
+            raise StrandCountError(f"strand count must be nonnegative, got {n}")
         allowed = _ALLOWED_KINDS[flavor]
         for pos, lt in enumerate(letters):
             if lt.kind not in allowed:
@@ -239,7 +241,7 @@ def relators(flavor, n: int) -> Presentation:
     """Every instance of every relation schema of the presentation, for given n."""
     flavor = Flavor(flavor)
     if n < 2:
-        raise ValueError("presentations require n >= 2")
+        raise StrandCountError(f"presentations require n >= 2, got {n}")
 
     rels = []
 
@@ -396,11 +398,6 @@ def _splice(w: GroupWord, step: RewriteStep, rule: Optional[Relator]) -> GroupWo
     if w.letters[p : p + len(src)] != src.letters:
         raise WitnessError(f"step {step} does not match word {w}")
     return w.replace(w.letters[:p] + dst.letters + w.letters[p + len(src) :])
-
-
-def apply_step(w: GroupWord, step: RewriteStep, rules) -> GroupWord:
-    """Apply one rewrite step by splicing; raises WitnessError if it does not apply."""
-    return replay_witness(w, (step,), rules)
 
 
 def replay_witness(w: GroupWord, witness, rules) -> GroupWord:

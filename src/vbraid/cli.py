@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 domain
 error, 4 precondition failure, 10 unknown (bounded equality search gave no
-answer; not an error). VBRAID_BFS_DEPTH overrides the default search depth;
-a value that is not a non-negative integer, in it or in --depth, is a parse
-error (exit 2).
+answer; not an error). A negative strand count, a verify range that is empty,
+starts below 2 or is not N or LO..HI, is a parse error (exit 2).
+VBRAID_BFS_DEPTH overrides the default search depth; a value that is not a
+non-negative integer, in it or in --depth, is a parse error (exit 2).
 """
 
 from __future__ import annotations
@@ -14,21 +15,19 @@ import json
 import os
 import sys
 
-from .braidword import bfs_equal, free_reduce, parse_word
+from .braidword import Flavor, bfs_equal, free_reduce, parse_word
 from .errors import (
-    FlavorError,
-    MonoidHasNoInversesError,
     NegativeDepthError,
     NonUnitDeterminantError,
     NotAKnotError,
-    SizeMismatchError,
+    StrandCountError,
     VbraidError,
     WordSyntaxError,
 )
 from .gauss import closure_code
 from .lpmatrix import mat_det
 from .reps import abelianize, burau, perm_proj
-from .verify import CHECKS_BY_FLAVOR, verify_range
+from .verify import verify_range
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -37,7 +36,7 @@ EXIT_DOMAIN = 3
 EXIT_PRECONDITION = 4
 EXIT_UNKNOWN = 10
 
-_FLAVORS = ["br", "sym", "vb", "bp", "sb", "sg"]
+_FLAVORS = [f.value for f in Flavor]
 
 
 def _default_depth():
@@ -51,11 +50,14 @@ def _default_depth():
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    """N or LO..HI as the pair (lo, hi); argparse reports anything else (exit 2)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a strand count N or a range LO..HI, got {text!r}"
+        ) from None
 
 
 def build_parser():
@@ -82,7 +84,12 @@ def build_parser():
 
     v = sub.add_parser("verify", help="check every relator under every representation")
     v.add_argument("--flavor", choices=_FLAVORS, default="vb")
-    v.add_argument("-n", required=True, help="strand count or range, e.g. 3 or 2..7")
+    v.add_argument(
+        "-n",
+        type=_parse_range,
+        required=True,
+        help="strand count or range, e.g. 3 or 2..7",
+    )
     v.add_argument(
         "--reps",
         help="comma-separated subset of checks (default: all applicable)",
@@ -102,7 +109,7 @@ def _run(args) -> int:
     out = sys.stdout
 
     if args.command == "verify":
-        lo, hi = _parse_range(args.n)
+        lo, hi = args.n
         checks = args.reps.split(",") if args.reps else None
         records = verify_range(args.flavor, lo, hi, checks)
         if args.json:
@@ -169,19 +176,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (WordSyntaxError, NegativeDepthError) as exc:
+    except (WordSyntaxError, NegativeDepthError, StrandCountError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NonUnitDeterminantError, NotAKnotError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (
-        FlavorError,
-        MonoidHasNoInversesError,
-        SizeMismatchError,
-        VbraidError,
-        ValueError,
-    ) as exc:
+    except (VbraidError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -63,3 +63,19 @@ class NegativeDepthError(VbraidError, ValueError):
 
 class WitnessError(VbraidError, ValueError):
     """A rewrite step names no known rule or does not match the word it rewrites."""
+
+
+class StrandCountError(VbraidError, ValueError):
+    """A strand count, or a range of them, that the operation does not accept."""
+
+
+class LetterError(VbraidError, ValueError):
+    """A letter with an unknown kind, an index below 1 or an exponent other than +-1."""
+
+
+class ParityError(VbraidError, ValueError):
+    """A Z/2 component given as something other than 0 or 1."""
+
+
+class CheckNotApplicableError(FlavorError, ValueError):
+    """A verification check requested for a flavor it does not apply to."""

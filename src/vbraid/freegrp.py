@@ -44,10 +44,6 @@ class FreeWord:
     def generator(cls, i, exp=1):
         return cls([(i, exp)])
 
-    @classmethod
-    def empty(cls):
-        return cls()
-
     def __len__(self):
         return len(self.letters)
 
@@ -60,7 +56,16 @@ class FreeWord:
         return hash(self.letters)
 
     def __mul__(self, other):
-        return fw_concat(self, other)
+        """Concatenation followed by free reduction at the junction."""
+        letters = list(self.letters)
+        for gen, exp in other.letters:
+            if letters and letters[-1][0] == gen and letters[-1][1] == -exp:
+                letters.pop()
+            else:
+                letters.append((gen, exp))
+        out = FreeWord.__new__(FreeWord)
+        object.__setattr__(out, "letters", tuple(letters))
+        return out
 
     def inverse(self):
         out = FreeWord.__new__(FreeWord)
@@ -77,36 +82,6 @@ class FreeWord:
 
     def __repr__(self):
         return f"FreeWord({list(self.letters)})"
-
-    @classmethod
-    def parse(cls, text):
-        """Parse the textual form produced by __str__, e.g. "x1 x2^-1"."""
-        if text.strip() in ("", "1"):
-            return cls()
-        letters = []
-        for tok in text.split():
-            body = tok
-            exp = 1
-            if "^" in tok:
-                body, _, etext = tok.partition("^")
-                exp = int(etext)
-            if not body.startswith("x"):
-                raise ValueError(f"bad free-word token {tok!r}")
-            letters.append((int(body[1:]), exp))
-        return cls(letters)
-
-
-def fw_concat(u: FreeWord, v: FreeWord) -> FreeWord:
-    """Concatenation followed by free reduction."""
-    letters = list(u.letters)
-    for gen, exp in v.letters:
-        if letters and letters[-1][0] == gen and letters[-1][1] == -exp:
-            letters.pop()
-        else:
-            letters.append((gen, exp))
-    out = FreeWord.__new__(FreeWord)
-    object.__setattr__(out, "letters", tuple(letters))
-    return out
 
 
 class FreeAut:
@@ -126,10 +101,6 @@ class FreeAut:
 
     def __setattr__(self, name, value):
         raise AttributeError("FreeAut is immutable")
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, [FreeWord.generator(i) for i in range(1, n + 1)])
 
     def is_identity(self):
         return all(

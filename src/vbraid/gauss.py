@@ -14,14 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .braidword import Flavor, GroupWord
-from .errors import (
-    FlavorError,
-    GaussSyntaxError,
-    LabelCountError,
-    NotAKnotError,
-    SizeMismatchError,
-)
+from .braidword import GroupWord
+from .errors import GaussSyntaxError, LabelCountError, NotAKnotError
 from .perm import p_is_cycle
 from .reps import perm_proj
 
@@ -107,25 +101,20 @@ def parse_gauss(text: str) -> GaussCode:
     return GaussCode(tuple(visits))
 
 
-def closure_code(w: GroupWord, n: int | None = None) -> GaussCode:
+def closure_code(w: GroupWord) -> GaussCode:
     """Gauss code of the closure of a virtual braid word, which must be a knot.
 
     The closed diagram is traversed from the top of strand position 1;
     each classical crossing is recorded twice (over and under), virtual
-    crossings are skipped. Labels follow first-visit order.
+    crossings are skipped. Labels follow first-visit order. Raises
+    FlavorError, from perm_proj, for a flavor without a permutation image.
     """
-    if w.flavor not in (Flavor.VB, Flavor.BP, Flavor.BR, Flavor.SYM):
-        raise FlavorError(f"closure is not defined for flavor {w.flavor.value}")
-    if n is None:
-        n = w.n
-    if n != w.n:
-        raise SizeMismatchError(f"word has {w.n} strands, asked for n={n}")
     if not p_is_cycle(perm_proj(w)):
         raise NotAKnotError("closure has more than one component")
 
     # after[step] = (next step touching position i, next touching i + 1) for
     # the letter at step on positions i, i + 1; first[p] = first step touching p
-    letters = w.letters
+    letters, n = w.letters, w.n
     first = [None] * (n + 2)
     after = [None] * len(letters)
     for step in reversed(range(len(letters))):

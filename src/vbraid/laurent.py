@@ -27,24 +27,9 @@ class LaurentPoly:
         return dict(self._terms)
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @classmethod
     def t_power(cls, k, coef=1):
         """The monomial coef * t^k."""
         return cls({k: coef})
-
-    def is_zero(self):
-        return not self._terms
 
     def is_unit(self):
         """Return (sign, exponent) if self = sign * t^exponent, else None.
@@ -112,7 +97,7 @@ class LaurentPoly:
                 raise ValueError("negative power of a non-unit")
             s, e = unit
             return LaurentPoly({k * e: 1 if (s == 1 or k % 2 == 0) else -1})
-        result = LaurentPoly.one()
+        result = ONE
         base = self
         n = k
         while n:
@@ -129,11 +114,11 @@ class LaurentPoly:
         min(self) - min(other) .. max(self) - max(other), from the top down,
         so it takes at most one step per quotient degree.
         """
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {}
-        if self.is_zero():
+        if not self:
             return out
         lo, hi = min(self._terms), max(self._terms)
         dlo, dhi = min(other._terms), max(other._terms)
@@ -157,16 +142,6 @@ class LaurentPoly:
         if any(rem):
             raise ValueError("inexact division")
         return out
-
-    def min_degree(self):
-        if not self._terms:
-            return None
-        return min(self._terms)
-
-    def max_degree(self):
-        if not self._terms:
-            return None
-        return max(self._terms)
 
     def __str__(self):
         if not self._terms:
@@ -196,8 +171,8 @@ class LaurentPoly:
         return cls.from_json_obj(json.loads(text))
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly({0: 1})
 T = LaurentPoly.t_power(1)
 T_INV = LaurentPoly.t_power(-1)
 

@@ -37,10 +37,6 @@ class LPMatrix:
     def identity(cls, n):
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, n):
-        return cls([[ZERO] * n for _ in range(n)])
-
     def __eq__(self, other):
         if not isinstance(other, LPMatrix):
             return NotImplemented

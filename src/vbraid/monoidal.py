@@ -30,14 +30,14 @@ by comparing lexicographic normal forms in that commutation monoid.
 from __future__ import annotations
 
 from .braidword import Flavor, GroupWord, Letter
-from .errors import SizeMismatchError
+from .errors import SizeMismatchError, StrandCountError
 from .reps import aut_rep
 
 
 def shift(w: GroupWord, m: int) -> GroupWord:
     """Raise every letter index by m and the strand count by m."""
     if m < 0:
-        raise ValueError("shift amount must be nonnegative")
+        raise StrandCountError(f"shift amount must be nonnegative, got {m}")
     return GroupWord(
         w.flavor,
         w.n + m,
@@ -62,7 +62,7 @@ def mu(w1: GroupWord, w2: GroupWord) -> GroupWord:
 
 def _block_word(kind: str, flavor: Flavor, m: int, n: int) -> GroupWord:
     if m < 0 or n < 0:
-        raise ValueError("block sizes must be nonnegative")
+        raise StrandCountError(f"block sizes must be nonnegative, got {m}, {n}")
     letters = []
     for j in range(1, n + 1):
         for i in range(m + j - 1, j - 1, -1):

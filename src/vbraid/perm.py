@@ -1,13 +1,12 @@
 """Finite permutations of {1..n}.
 
-Composition convention, used uniformly by every representation in this
-package: ``p_compose(f, g)(x) == f(g(x))``, so in a word the rightmost
-letter acts on points first.
+A Permutation p sends the point x to p(x). Composition follows the
+convention used uniformly by every representation in this package: f after
+g sends x to f(g(x)), so in a composite the rightmost factor acts on points
+first.
 """
 
 from __future__ import annotations
-
-from .errors import SizeMismatchError
 
 
 class Permutation:
@@ -81,22 +80,6 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
-
-
-def p_compose(f: Permutation, g: Permutation) -> Permutation:
-    """f after g: the result maps x to f(g(x))."""
-    if f.n != g.n:
-        raise SizeMismatchError(f"cannot compose permutations of sizes {f.n} and {g.n}")
-    return Permutation(f(g(x)) for x in range(1, f.n + 1))
-
-
-def p_transposition(i: int, n: int) -> Permutation:
-    """The transposition swapping i and i+1 in {1..n}."""
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"transposition index {i} out of range for n={n}")
-    images = list(range(1, n + 1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation(images)
 
 
 def p_is_cycle(f: Permutation) -> bool:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braidword import Flavor, GroupWord, Letter
-from .errors import FlavorError, SizeMismatchError
+from .braidword import Flavor, GroupWord
+from .errors import FlavorError, ParityError
 from .freegrp import FreeAut, FreeWord
-from .laurent import ONE, T, T_INV, LaurentPoly
+from .laurent import ONE, T, T_INV, ZERO
 from .lpmatrix import LPMatrix
 from .perm import Permutation
 
@@ -51,35 +51,15 @@ _ONE_MINUS_T = ONE - T
 _ONE_MINUS_TINV = ONE - T_INV
 
 
-def burau_generator(letter: Letter, n: int) -> LPMatrix:
-    """The full n x n Burau image of a single generator letter."""
-    i = letter.index
-    m = [[ONE if r == c else LaurentPoly.zero() for c in range(n)] for r in range(n)]
-    r0, r1 = i - 1, i
-    if letter.kind == "z":
-        block = ((LaurentPoly.zero(), ONE), (ONE, LaurentPoly.zero()))
-    elif letter.exponent == 1:
-        block = ((_ONE_MINUS_T, T), (ONE, LaurentPoly.zero()))
-    else:
-        block = ((LaurentPoly.zero(), ONE), (T_INV, _ONE_MINUS_TINV))
-    m[r0][r0], m[r0][r1] = block[0]
-    m[r1][r0], m[r1][r1] = block[1]
-    return LPMatrix(m)
-
-
-def burau(w: GroupWord, n: int | None = None) -> LPMatrix:
+def burau(w: GroupWord) -> LPMatrix:
     """Burau image of a word: the product M(lk) ... M(l1) of generator matrices.
 
     Each generator matrix is the identity outside one 2x2 block, so the
     product is built by in-place row updates instead of full products.
     """
     _require_rep_flavor(w)
-    if n is None:
-        n = w.n
-    if n != w.n:
-        raise SizeMismatchError(f"word has {w.n} strands, asked for n={n}")
-    zero = LaurentPoly.zero()
-    rows = [[ONE if r == c else zero for c in range(n)] for r in range(n)]
+    n = w.n
+    rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
     for lt in w.letters:
         i = lt.index - 1
         ri, rj = rows[i], rows[i + 1]
@@ -97,7 +77,7 @@ def burau(w: GroupWord, n: int | None = None) -> LPMatrix:
     return LPMatrix(rows)
 
 
-def aut_rep(w: GroupWord, n: int | None = None) -> FreeAut:
+def aut_rep(w: GroupWord) -> FreeAut:
     """The representation in Aut F_n through the braid-permutation group.
 
     Built from the right as acc = acc o rho(l) for l = lk, ..., l1: a letter
@@ -105,11 +85,7 @@ def aut_rep(w: GroupWord, n: int | None = None) -> FreeAut:
     z_i, (b, b^-1 a b) for s_i and (a b a^-1, a) for s_i^-1.
     """
     _require_rep_flavor(w)
-    if n is None:
-        n = w.n
-    if n != w.n:
-        raise SizeMismatchError(f"word has {w.n} strands, asked for n={n}")
-    images = [FreeWord.generator(k) for k in range(1, n + 1)]
+    images = [FreeWord.generator(k) for k in range(1, w.n + 1)]
     for lt in reversed(w.letters):
         i = lt.index - 1
         a, b = images[i], images[i + 1]
@@ -119,7 +95,7 @@ def aut_rep(w: GroupWord, n: int | None = None) -> FreeAut:
             images[i], images[i + 1] = b, b.inverse() * a * b
         else:
             images[i], images[i + 1] = a * b * a.inverse(), a
-    return FreeAut(n, images)
+    return FreeAut(w.n, images)
 
 
 def perm_proj(w: GroupWord) -> Permutation:
@@ -153,7 +129,7 @@ class AbelianImage:
 
     def __post_init__(self):
         if self.zeta_parity not in (0, 1):
-            raise ValueError("zeta_parity must be 0 or 1")
+            raise ParityError(f"zeta_parity must be 0 or 1, got {self.zeta_parity}")
 
     def to_json_obj(self):
         return {"zeta_parity": self.zeta_parity, "sigma_sum": self.sigma_sum}

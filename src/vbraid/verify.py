@@ -12,40 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braidword import Flavor, Presentation, bfs_equal, relators
+from .errors import CheckNotApplicableError, StrandCountError
 from .reps import abelianize, aut_rep, burau, exp_sum, perm_proj
 
-
-def _check_burau(lhs, rhs):
-    return burau(lhs) == burau(rhs)
-
-
-def _check_aut(lhs, rhs):
-    return aut_rep(lhs) == aut_rep(rhs)
-
-
-def _check_perm(lhs, rhs):
-    return perm_proj(lhs) == perm_proj(rhs)
-
-
-def _check_exp_sum(lhs, rhs):
-    return exp_sum(lhs) == exp_sum(rhs)
-
-
-def _check_abelianize(lhs, rhs):
-    return abelianize(lhs) == abelianize(rhs)
-
-
-def _check_bfs(lhs, rhs):
-    return bool(bfs_equal(lhs, rhs, depth=2))
-
-
-_CHECKS = {
-    "burau": _check_burau,
-    "aut": _check_aut,
-    "perm": _check_perm,
-    "exp_sum": _check_exp_sum,
-    "abelianize": _check_abelianize,
-    "bfs": _check_bfs,
+# every check but "bfs" compares the images of a relator's two sides under a map
+_MAPS = {
+    "burau": burau,
+    "aut": aut_rep,
+    "perm": perm_proj,
+    "exp_sum": exp_sum,
+    "abelianize": abelianize,
 }
 
 CHECKS_BY_FLAVOR = {
@@ -86,20 +62,29 @@ def verify_presentation(pres: Presentation, checks=None):
         allowed = set(CHECKS_BY_FLAVOR[pres.flavor])
         bad = [c for c in checks if c not in allowed]
         if bad:
-            raise ValueError(
+            raise CheckNotApplicableError(
                 f"checks {bad} not applicable to flavor {pres.flavor.value}"
             )
     records = []
     for rel in pres.relators:
         for name in checks:
-            passed = _CHECKS[name](rel.lhs, rel.rhs)
+            if name == "bfs":
+                passed = bool(bfs_equal(rel.lhs, rel.rhs, depth=2))
+            else:
+                f = _MAPS[name]
+                passed = f(rel.lhs) == f(rel.rhs)
             records.append(CheckRecord(pres.n, rel.name, name, passed))
     return records
 
 
 def verify_range(flavor, n_lo: int, n_hi: int, checks=None):
-    """Verify the flavor's presentations for every n in [n_lo, n_hi]."""
+    """Verify the flavor's presentations for every n in [n_lo, n_hi].
+
+    Raises StrandCountError for an empty range or one that starts below 2.
+    """
     flavor = Flavor(flavor)
+    if n_lo > n_hi:
+        raise StrandCountError(f"empty strand range {n_lo}..{n_hi}")
     records = []
     for n in range(n_lo, n_hi + 1):
         records.extend(verify_presentation(relators(flavor, n), checks))

@@ -3,6 +3,10 @@ import random
 from hypothesis import strategies as st
 
 from vbraid.braidword import Flavor, GroupWord, Letter
+from vbraid.errors import SizeMismatchError
+from vbraid.laurent import ONE, T, T_INV, ZERO
+from vbraid.lpmatrix import LPMatrix
+from vbraid.perm import Permutation
 
 
 def random_letter(rng, flavor, n):
@@ -45,3 +49,35 @@ def rep_words(draw, flavors, max_n, max_len):
         st.sampled_from([1, -1]),
     )
     return GroupWord(flavor, n, draw(st.lists(letter, max_size=max_len)))
+
+
+def burau_generator(letter, n):
+    """Oracle: the full n x n Burau image of one generator letter, written out."""
+    i = letter.index
+    m = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    r0, r1 = i - 1, i
+    if letter.kind == "z":
+        block = ((ZERO, ONE), (ONE, ZERO))
+    elif letter.exponent == 1:
+        block = ((ONE - T, T), (ONE, ZERO))
+    else:
+        block = ((ZERO, ONE), (T_INV, ONE - T_INV))
+    m[r0][r0], m[r0][r1] = block[0]
+    m[r1][r0], m[r1][r1] = block[1]
+    return LPMatrix(m)
+
+
+def p_compose(f, g):
+    """Oracle: f after g, the permutation x -> f(g(x))."""
+    if f.n != g.n:
+        raise SizeMismatchError(f"cannot compose permutations of sizes {f.n} and {g.n}")
+    return Permutation(f(g(x)) for x in range(1, f.n + 1))
+
+
+def p_transposition(i, n):
+    """Oracle: the transposition swapping i and i+1 in {1..n}."""
+    if not 1 <= i <= n - 1:
+        raise IndexError(f"transposition index {i} out of range for n={n}")
+    images = list(range(1, n + 1))
+    images[i - 1], images[i] = images[i], images[i - 1]
+    return Permutation(images)

@@ -20,6 +20,10 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "-n", "2", "q1")
         assert code == 2 and "parse error" in err
 
+    def test_negative_strand_count_exit_2(self, capsys):
+        code, out, err = run(capsys, "reduce", "-n", "-1", "")
+        assert code == 2 and out == "" and "strand count" in err
+
 
 class TestBurau:
     def test_json_matrix(self, capsys):
@@ -109,6 +113,22 @@ class TestVerify:
     def test_inapplicable_reps_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "--flavor", "sb", "-n", "3", "--reps", "burau")
         assert code == 3
+
+    def test_range_below_two_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "1..3")
+        assert code == 2 and out == "" and "n >= 2" in err
+
+    def test_empty_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "5..2")
+        assert code == 2 and out == "" and "5..2" in err
+
+    @pytest.mark.parametrize("text", ["abc", "3..", "..3", "2..x"])
+    def test_malformed_range_exit_2(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-n", text])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "LO..HI" in captured.err
 
 
 class TestEqual:

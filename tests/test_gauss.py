@@ -8,7 +8,6 @@ from vbraid.errors import (
     GaussSyntaxError,
     LabelCountError,
     NotAKnotError,
-    SizeMismatchError,
 )
 from vbraid.gauss import OVER, UNDER, GaussCode, closure_code, parse_gauss
 from vbraid.perm import Permutation
@@ -120,10 +119,6 @@ class TestClosureCode:
     def test_monoid_flavor_rejected(self):
         with pytest.raises(FlavorError):
             closure_code(parse_word("a1", "sb", 2))
-
-    def test_strand_count_mismatch(self):
-        with pytest.raises(SizeMismatchError):
-            closure_code(parse_word("s1 s2", "vb", 3), n=4)
 
     def test_each_crossing_visited_over_and_under(self):
         w = parse_word("s1 s2 s1 z2", "vb", 3)

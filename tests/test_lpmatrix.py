@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from conftest import random_word
+from conftest import burau_generator, random_word
 
 from vbraid.braidword import Flavor, Letter, invert_word
 from vbraid.errors import DimensionMismatchError, NonUnitDeterminantError
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import LPMatrix, block_diag, mat_det, mat_inverse, mat_mul
-from vbraid.reps import burau, burau_generator, exp_sum, zeta_count
+from vbraid.reps import burau, exp_sum, zeta_count
 
 ONE_MINUS_T = ONE - T
 

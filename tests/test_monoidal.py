@@ -4,7 +4,7 @@ import pytest
 from conftest import random_word
 
 from vbraid.braidword import Flavor, GroupWord, S, Z, parse_word
-from vbraid.errors import SizeMismatchError
+from vbraid.errors import SizeMismatchError, StrandCountError
 from vbraid.lpmatrix import LPMatrix, block_diag
 from vbraid.monoidal import (
     check_coherence,
@@ -37,6 +37,12 @@ class TestShiftWiden:
     def test_negative_shift(self):
         with pytest.raises(ValueError):
             shift(parse_word("s1", "vb", 2), -1)
+
+    def test_negative_sizes_typed(self):
+        with pytest.raises(StrandCountError):
+            shift(parse_word("s1", "vb", 2), -1)
+        with pytest.raises(StrandCountError):
+            zeta_block(-1, 2)
 
 
 class TestMu:

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from conftest import p_compose, p_transposition
 
 from vbraid.errors import SizeMismatchError
-from vbraid.perm import Permutation, p_compose, p_is_cycle, p_transposition
+from vbraid.perm import Permutation, p_is_cycle
 
 
 class TestCompose:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import random_word, rep_words
+from conftest import burau_generator, p_compose, p_transposition, random_word, rep_words
 from hypothesis import given, settings
 
 from vbraid.braidword import (
@@ -14,17 +14,16 @@ from vbraid.braidword import (
     parse_word,
     relators,
 )
-from vbraid.errors import FlavorError, SizeMismatchError
+from vbraid.errors import FlavorError, ParityError
 from vbraid.freegrp import FreeWord, aut_apply, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import LPMatrix, mat_det, mat_inverse, mat_mul
-from vbraid.perm import Permutation, p_compose, p_transposition
+from vbraid.perm import Permutation
 from vbraid.reps import (
     AbelianImage,
     abelianize,
     aut_rep,
     burau,
-    burau_generator,
     exp_sum,
     perm_proj,
     to_bp,
@@ -34,21 +33,25 @@ from vbraid.reps import (
 ONE_MINUS_T = ONE - T
 
 
+def burau_of_letter(lt, n):
+    return burau(GroupWord(Flavor.VB, n, [lt]))
+
+
 class TestBurauGenerator:
     def test_sigma_block_n2(self):
         expected = LPMatrix([[ONE_MINUS_T, T], [ONE, ZERO]])
-        assert burau_generator(S(1), 2) == expected
+        assert burau_of_letter(S(1), 2) == expected
 
     def test_sigma_inverse_block_n2(self):
         expected = LPMatrix([[ZERO, ONE], [T_INV, ONE - T_INV]])
-        assert burau_generator(S(1, -1), 2) == expected
+        assert burau_of_letter(S(1, -1), 2) == expected
 
     def test_zeta_block_n2(self):
         expected = LPMatrix([[ZERO, ONE], [ONE, ZERO]])
-        assert burau_generator(Z(1), 2) == expected
+        assert burau_of_letter(Z(1), 2) == expected
 
     def test_padding_at_n4(self):
-        m = burau_generator(S(2), 4)
+        m = burau_of_letter(S(2), 4)
         assert m.entries[0][0] == ONE and m.entries[3][3] == ONE
         assert m.entries[1][1] == ONE_MINUS_T
         assert m.entries[1][2] == T
@@ -63,8 +66,7 @@ class TestBurauWord:
 
     def test_single_letter_matches_generator(self):
         for lt in (S(1), S(1, -1), Z(1), S(2), Z(2)):
-            w = GroupWord(Flavor.VB, 3, [lt])
-            assert burau(w) == burau_generator(lt, 3)
+            assert burau_of_letter(lt, 3) == burau_generator(lt, 3)
 
     def test_inverse_pair_is_identity(self):
         assert burau(parse_word("s1 s1^-1", "vb", 2)) == LPMatrix.identity(2)
@@ -90,17 +92,13 @@ class TestBurauWord:
         with pytest.raises(FlavorError):
             burau(parse_word("a1", "sg", 2))
 
-    def test_strand_count_mismatch(self):
-        with pytest.raises(SizeMismatchError):
-            burau(parse_word("s1", "vb", 2), n=3)
-
 
 class TestDeterminantLaw:
     def test_generators(self):
         for n in range(2, 8):
             for i in range(1, n):
-                assert mat_det(burau_generator(S(i), n)) == LaurentPoly({1: -1})
-                assert mat_det(burau_generator(Z(i), n)) == LaurentPoly({0: -1})
+                assert mat_det(burau_of_letter(S(i), n)) == LaurentPoly({1: -1})
+                assert mat_det(burau_of_letter(Z(i), n)) == LaurentPoly({0: -1})
 
     def test_random_words(self):
         rng = random.Random(22)
@@ -217,11 +215,15 @@ class TestAbelianize:
             n = rng.randrange(2, 6)
             w = random_word(rng, Flavor.VB, n, rng.randrange(0, 20))
             d = mat_det(burau(w))
-            assert d.min_degree() == d.max_degree() == exp_sum(w)
+            assert list(d.terms) == [exp_sum(w)]
 
     def test_flavor_guard(self):
         with pytest.raises(FlavorError):
             abelianize(parse_word("s1", "br", 2))
+
+    def test_parity_out_of_range(self):
+        with pytest.raises(ParityError):
+            AbelianImage(2, 0)
 
     def test_json_shape(self):
         assert abelianize(parse_word("z1", "vb", 2)).to_json_obj() == {

@@ -1,6 +1,7 @@
 import pytest
 
 from vbraid.braidword import Flavor, Presentation, Relator, parse_word, relators
+from vbraid.errors import CheckNotApplicableError, StrandCountError
 from vbraid.verify import CheckRecord, verify_presentation, verify_range
 
 
@@ -30,6 +31,18 @@ def test_check_subset():
     records = verify_range("vb", 3, 3, checks=("perm",))
     assert {r.check for r in records} == {"perm"}
     assert len(records) == len(relators("vb", 3).relators)
+
+
+def test_inapplicable_check_typed():
+    with pytest.raises(CheckNotApplicableError):
+        verify_range("sb", 3, 3, checks=("burau",))
+
+
+def test_bad_strand_range_typed():
+    with pytest.raises(StrandCountError):
+        verify_range("vb", 1, 3)
+    with pytest.raises(StrandCountError):
+        verify_range("vb", 5, 2)
 
 
 def test_inapplicable_check_rejected():
