@@ -29,6 +29,7 @@ from .errors import (
     FlavorError,
     GaussSyntaxError,
     IndexOutOfRangeError,
+    InexactDivisionError,
     InverseNotAllowedError,
     LabelCountError,
     LetterError,
@@ -38,6 +39,7 @@ from .errors import (
     NonUnitDeterminantError,
     NotAKnotError,
     ParityError,
+    PermutationError,
     SizeMismatchError,
     StrandCountError,
     VbraidError,

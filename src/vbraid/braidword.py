@@ -55,7 +55,7 @@ _ALLOWED_KINDS = {
 GROUP_FLAVORS = frozenset({Flavor.BR, Flavor.SYM, Flavor.VB, Flavor.BP, Flavor.SG})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Letter:
     kind: str  # "s", "z" or "a"
     index: int
@@ -93,49 +93,36 @@ def A(i, e=1):
     return Letter("a", i, e)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class GroupWord:
-    """A word in the given flavor on n strands; immutable."""
+    """A word in the given flavor on n strands."""
 
-    __slots__ = ("flavor", "n", "letters")
+    flavor: Flavor
+    n: int
+    letters: tuple = ()  # tuple of Letter
 
-    def __init__(self, flavor, n, letters=()):
-        flavor = Flavor(flavor)
-        letters = tuple(letters)
-        if n < 0:
-            raise StrandCountError(f"strand count must be nonnegative, got {n}")
+    def __post_init__(self):
+        flavor = Flavor(self.flavor)
+        letters = tuple(self.letters)
+        if self.n < 0:
+            raise StrandCountError(f"strand count must be nonnegative, got {self.n}")
         allowed = _ALLOWED_KINDS[flavor]
         for pos, lt in enumerate(letters):
             if lt.kind not in allowed:
                 raise FlavorError(
                     f"letter kind {lt.kind!r} not allowed in flavor {flavor.value}"
                 )
-            if lt.index > n - 1:
+            if lt.index > self.n - 1:
                 raise IndexOutOfRangeError(
-                    f"letter index {lt.index} out of range for n={n} strands", pos
+                    f"letter index {lt.index} out of range for n={self.n} strands", pos
                 )
             if flavor is Flavor.SB and lt.kind == "a" and lt.exponent != 1:
                 raise FlavorError("a letters are not invertible in the monoid flavor")
         object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupWord is immutable")
 
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupWord):
-            return NotImplemented
-        return (
-            self.flavor == other.flavor
-            and self.n == other.n
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return hash((self.flavor, self.n, self.letters))
 
     def __str__(self):
         return " ".join(str(lt) for lt in self.letters)
@@ -221,7 +208,7 @@ def invert_word(w: GroupWord) -> GroupWord:
     return w.replace(tuple(lt.inverse() for lt in reversed(w.letters)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relator:
     """A named pair of words asserted equal in the presentation."""
 
@@ -230,7 +217,7 @@ class Relator:
     rhs: GroupWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Presentation:
     flavor: Flavor
     n: int
@@ -334,7 +321,7 @@ def relators(flavor, n: int) -> Presentation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteStep:
     """One rewrite: replace rule.lhs (direction=+1) or rule.rhs (-1) at position."""
 
@@ -346,7 +333,7 @@ class RewriteStep:
         return RewriteStep(self.rule, -self.direction, self.position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqualityResult:
     equal: bool
     witness: Optional[tuple] = None  # tuple of RewriteStep when equal
@@ -367,26 +354,15 @@ def rewrite_rules(flavor, n: int):
 
 @lru_cache(maxsize=None)
 def _rewrite_rules(flavor, n):
-    pres = relators(flavor, n)
-    rules = list(pres.relators)
-    existing = {(r.lhs.letters, r.rhs.letters) for r in rules}
-    if flavor in GROUP_FLAVORS:
-
-        def addc(name, seq):
-            if (tuple(seq), ()) not in existing:
-                rules.append(
-                    Relator(name, GroupWord(flavor, n, seq), GroupWord(flavor, n, []))
-                )
-
-        if "s" in _ALLOWED_KINDS[flavor]:
-            for i in range(1, n):
-                addc(f"cancel_s_r:i={i}", [S(i), S(i, -1)])
-                addc(f"cancel_s_l:i={i}", [S(i, -1), S(i)])
-        if "a" in _ALLOWED_KINDS[flavor]:
-            for i in range(1, n):
-                addc(f"cancel_a_r:i={i}", [A(i), A(i, -1)])
-                addc(f"cancel_a_l:i={i}", [A(i, -1), A(i)])
-        # z cancellation is the zeta_sq relator, already present
+    rules = list(relators(flavor, n).relators)
+    # z cancellation is the zeta_sq relator, and the singular flavors carry
+    # their cancellations as sigma_inv_* and a_inv_* relators
+    if flavor in (Flavor.BR, Flavor.VB, Flavor.BP):
+        empty = GroupWord(flavor, n)
+        for i in range(1, n):
+            for side, seq in (("r", [S(i), S(i, -1)]), ("l", [S(i, -1), S(i)])):
+                lhs = GroupWord(flavor, n, seq)
+                rules.append(Relator(f"cancel_s_{side}:i={i}", lhs, empty))
     return tuple(rules)
 
 

@@ -6,6 +6,7 @@ answer; not an error). A negative strand count, a verify range that is empty,
 starts below 2 or is not N or LO..HI, is a parse error (exit 2).
 VBRAID_BFS_DEPTH overrides the default search depth; a value that is not a
 non-negative integer, in it or in --depth, is a parse error (exit 2).
+main returns the exit code of every outcome, argparse's own included.
 """
 
 from __future__ import annotations
@@ -172,8 +173,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return exc.code
     try:
         return _run(args)
     except (WordSyntaxError, NegativeDepthError, StrandCountError) as exc:

@@ -79,3 +79,11 @@ class ParityError(VbraidError, ValueError):
 
 class CheckNotApplicableError(FlavorError, ValueError):
     """A verification check requested for a flavor it does not apply to."""
+
+
+class PermutationError(VbraidError, ValueError):
+    """Images that are not a bijection of 1..n."""
+
+
+class InexactDivisionError(VbraidError, ValueError):
+    """A quotient or negative power of Laurent polynomials outside Z[t, t^-1]."""

@@ -9,7 +9,9 @@ by the images of the generators x_1..x_n; composition follows the same
 
 from __future__ import annotations
 
-from .errors import SizeMismatchError
+from dataclasses import dataclass
+
+from .errors import LetterError, SizeMismatchError
 
 
 def _reduce(letters):
@@ -22,23 +24,20 @@ def _reduce(letters):
     return tuple(stack)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FreeWord:
     """A freely reduced word in F_n; the rank is implicit in usage context."""
 
-    __slots__ = ("letters",)
+    letters: tuple = ()  # tuple of (generator index, exponent)
 
-    def __init__(self, letters=()):
+    def __post_init__(self):
         checked = []
-        for gen, exp in letters:
-            gen = int(gen)
-            exp = int(exp)
+        for gen, exp in self.letters:
+            gen, exp = int(gen), int(exp)
             if gen < 1 or exp not in (1, -1):
-                raise ValueError(f"bad free-group letter ({gen}, {exp})")
+                raise LetterError(f"bad free-group letter ({gen}, {exp})")
             checked.append((gen, exp))
         object.__setattr__(self, "letters", _reduce(checked))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeWord is immutable")
 
     @classmethod
     def generator(cls, i, exp=1):
@@ -46,14 +45,6 @@ class FreeWord:
 
     def __len__(self):
         return len(self.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeWord):
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def __mul__(self, other):
         """Concatenation followed by free reduction at the junction."""
@@ -84,36 +75,26 @@ class FreeWord:
         return f"FreeWord({list(self.letters)})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class FreeAut:
     """An endomorphism of F_n given by generator images (here always invertible)."""
 
-    __slots__ = ("n", "images")
+    n: int
+    images: tuple  # tuple of FreeWord
 
-    def __init__(self, n, images):
-        images = tuple(images)
-        if len(images) != n:
-            raise SizeMismatchError(f"expected {n} images, got {len(images)}")
+    def __post_init__(self):
+        images = tuple(self.images)
+        if len(images) != self.n:
+            raise SizeMismatchError(f"expected {self.n} images, got {len(images)}")
         for img in images:
-            if img.max_generator() > n:
+            if img.max_generator() > self.n:
                 raise SizeMismatchError("image mentions a generator beyond the rank")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeAut is immutable")
 
     def is_identity(self):
         return all(
             img.letters == ((i, 1),) for i, img in enumerate(self.images, start=1)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeAut):
-            return NotImplemented
-        return self.n == other.n and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.n, self.images))
 
     def __str__(self):
         return "\n".join(f"x{i} -> {img}" for i, img in enumerate(self.images, start=1))

@@ -23,7 +23,7 @@ OVER = "O"
 UNDER = "U"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussCode:
     """Sequence of (passage, label) visits; labels canonical in first-visit order."""
 
@@ -31,9 +31,6 @@ class GaussCode:
 
     def __post_init__(self):
         object.__setattr__(self, "visits", tuple(self.visits))
-        self._validate()
-
-    def _validate(self):
         over = {}
         under = {}
         for passage, label in self.visits:

@@ -8,9 +8,16 @@ from __future__ import annotations
 
 import json
 
+from .errors import InexactDivisionError
+
 
 class LaurentPoly:
-    """An element of Z[t, t^-1], stored as a mapping exponent -> coefficient."""
+    """An element of Z[t, t^-1], stored as a mapping exponent -> coefficient.
+
+    The one value type that is not a frozen dataclass: its arithmetic sets
+    ``_terms`` of each result directly, and a generated ``__hash__`` cannot
+    hash a dict field, so equality and hashing are written out.
+    """
 
     __slots__ = ("_terms",)
 
@@ -94,7 +101,7 @@ class LaurentPoly:
         if k < 0:
             unit = self.is_unit()
             if unit is None:
-                raise ValueError("negative power of a non-unit")
+                raise InexactDivisionError(f"negative power of the non-unit {self}")
             s, e = unit
             return LaurentPoly({k * e: 1 if (s == 1 or k % 2 == 0) else -1})
         result = ONE
@@ -108,7 +115,7 @@ class LaurentPoly:
         return result
 
     def exact_div(self, other):
-        """Exact division by a nonzero divisor; raises ValueError on a remainder.
+        """Exact division by a nonzero divisor; a remainder raises InexactDivisionError.
 
         Dense long division over the only possible quotient degrees,
         min(self) - min(other) .. max(self) - max(other), from the top down,
@@ -134,13 +141,13 @@ class LaurentPoly:
                 continue
             qc, r = divmod(top, dcoef)
             if r:
-                raise ValueError("inexact division")
+                raise InexactDivisionError(f"{self} is not divisible by {other}")
             out._terms[qe] = qc
             base = qe - qlo
             for off, c in divisor:
                 rem[base + off] -= qc * c
         if any(rem):
-            raise ValueError("inexact division")
+            raise InexactDivisionError(f"{self} is not divisible by {other}")
         return out
 
     def __str__(self):

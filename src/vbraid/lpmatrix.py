@@ -8,18 +8,21 @@ inverses exist only for unit determinants +-t^k.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NonUnitDeterminantError
 from .laurent import ONE, ZERO, LaurentPoly
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LPMatrix:
-    """An n x n matrix of LaurentPoly entries; immutable."""
+    """An n x n matrix of LaurentPoly entries."""
 
-    __slots__ = ("n", "entries")
+    entries: tuple  # n rows, each a tuple of n LaurentPoly
+    n: int = field(init=False, compare=False)
 
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix must be square")
@@ -30,20 +33,9 @@ class LPMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LPMatrix is immutable")
-
     @classmethod
     def identity(cls, n):
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        if not isinstance(other, LPMatrix):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __matmul__(self, other):
         return mat_mul(self, other)

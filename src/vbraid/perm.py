@@ -8,21 +8,23 @@ first.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
+from .errors import PermutationError
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of images of 1..n."""
 
-    __slots__ = ("images",)
+    images: tuple
 
-    def __init__(self, images):
-        imgs = tuple(int(x) for x in images)
+    def __post_init__(self):
+        imgs = tuple(int(x) for x in self.images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {imgs}")
+            raise PermutationError(f"not a bijection of 1..{n}: {imgs}")
         object.__setattr__(self, "images", imgs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @property
     def n(self):
@@ -34,14 +36,6 @@ class Permutation:
 
     def __call__(self, x):
         return self.images[x - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def inverse(self):
         inv = [0] * self.n

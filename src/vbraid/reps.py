@@ -21,7 +21,7 @@ abelianization onto Z/2 + Z is unaffected.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .braidword import Flavor, GroupWord
 from .errors import FlavorError, ParityError
@@ -120,7 +120,7 @@ def zeta_count(w: GroupWord) -> int:
     return sum(1 for lt in w.letters if lt.kind == "z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbelianImage:
     """An element of Z/2 + Z, the common abelianization of VB_n and its Burau image."""
 
@@ -132,7 +132,7 @@ class AbelianImage:
             raise ParityError(f"zeta_parity must be 0 or 1, got {self.zeta_parity}")
 
     def to_json_obj(self):
-        return {"zeta_parity": self.zeta_parity, "sigma_sum": self.sigma_sum}
+        return asdict(self)
 
 
 def abelianize(w: GroupWord) -> AbelianImage:

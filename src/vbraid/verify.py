@@ -9,7 +9,7 @@ search instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .braidword import Flavor, Presentation, bfs_equal, relators
 from .errors import CheckNotApplicableError, StrandCountError
@@ -34,7 +34,7 @@ CHECKS_BY_FLAVOR = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
     n: int
     relator: str
@@ -42,12 +42,7 @@ class CheckRecord:
     passed: bool
 
     def to_json_obj(self):
-        return {
-            "n": self.n,
-            "relator": self.relator,
-            "check": self.check,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"

@@ -3,12 +3,15 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 from conftest import p_compose, p_transposition, random_word
 
+import vbraid
 from vbraid.braidword import Flavor, GroupWord, Letter, Z, bfs_equal, parse_word, relators, replay_witness, rewrite_rules
 from vbraid.errors import NotAKnotError
 from vbraid.gauss import GaussCode, closure_code, parse_gauss
@@ -190,8 +193,10 @@ def test_09_gauss_codes():
 
 def test_10_determinism():
     cmd = [sys.executable, "-m", "vbraid.cli", "verify", "--flavor", "vb", "-n", "2..4"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the child finds this checkout's package whether or not it is installed
+    env = dict(os.environ, PYTHONPATH=str(Path(vbraid.__file__).parents[1]))
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     ok = (
         first.returncode == 0
         and second.returncode == 0

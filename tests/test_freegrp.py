@@ -5,7 +5,7 @@ from conftest import random_word, rep_words
 from hypothesis import given, settings
 
 from vbraid.braidword import relators
-from vbraid.errors import SizeMismatchError
+from vbraid.errors import LetterError, SizeMismatchError
 from vbraid.freegrp import FreeAut, FreeWord, aut_apply, aut_compose
 from vbraid.reps import aut_rep
 
@@ -36,6 +36,11 @@ class TestConcat:
 def test_construction_reduces():
     assert FreeWord([(1, 1), (1, -1), (2, 1)]) == x(2)
     assert FreeWord([(1, 1), (2, 1), (2, -1), (1, -1)]) == FreeWord()
+
+
+def test_bad_letter_raises_letter_error():
+    with pytest.raises(LetterError):
+        FreeWord([(0, 1)])
 
 
 def test_reduction_confluence_random():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vbraid.errors import InexactDivisionError
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 
 
@@ -147,6 +148,11 @@ def test_exact_div_inexact_raises():
             a.exact_div(b)
 
 
+def test_inexact_division_raises_typed_error():
+    with pytest.raises(InexactDivisionError):
+        ONE.exact_div(ONE - T)
+
+
 @given(polys, polys)
 def test_exact_div_inverts_mul(a, b):
     if b:
@@ -158,4 +164,9 @@ def test_pow():
     assert poly({1: -1}) ** -2 == poly({-2: 1})
     assert poly({1: -1}) ** -3 == poly({-3: -1})
     with pytest.raises(ValueError):
+        poly({0: 1, 1: 1}) ** -1
+
+
+def test_negative_power_of_non_unit_raises_typed_error():
+    with pytest.raises(InexactDivisionError):
         poly({0: 1, 1: 1}) ** -1

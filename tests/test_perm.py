@@ -3,7 +3,7 @@ import random
 import pytest
 from conftest import p_compose, p_transposition
 
-from vbraid.errors import SizeMismatchError
+from vbraid.errors import PermutationError, SizeMismatchError
 from vbraid.perm import Permutation, p_is_cycle
 
 
@@ -81,6 +81,11 @@ def test_braid_relation():
 
 def test_not_a_bijection_rejected():
     with pytest.raises(ValueError):
+        Permutation([1, 1, 3])
+
+
+def test_not_a_bijection_raises_permutation_error():
+    with pytest.raises(PermutationError):
         Permutation([1, 1, 3])
 
 

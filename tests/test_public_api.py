@@ -1,5 +1,7 @@
 import types
 
+import pytest
+
 import vbraid
 
 PUBLIC_NAMES = [
@@ -16,6 +18,7 @@ PUBLIC_NAMES = [
     "GaussSyntaxError",
     "GroupWord",
     "IndexOutOfRangeError",
+    "InexactDivisionError",
     "InverseNotAllowedError",
     "LPMatrix",
     "LabelCountError",
@@ -29,6 +32,7 @@ PUBLIC_NAMES = [
     "NotAKnotError",
     "ParityError",
     "Permutation",
+    "PermutationError",
     "Presentation",
     "Relator",
     "RewriteStep",
@@ -83,7 +87,49 @@ def test_public_surface():
 
 
 def test_typed_value_errors_are_value_errors():
-    for name in ("CheckNotApplicableError", "LetterError", "NegativeDepthError",
-                 "ParityError", "StrandCountError", "WitnessError"):
+    for name in ("CheckNotApplicableError", "InexactDivisionError", "LetterError",
+                 "NegativeDepthError", "ParityError", "PermutationError",
+                 "StrandCountError", "WitnessError"):
         cls = getattr(vbraid, name)
         assert issubclass(cls, vbraid.VbraidError) and issubclass(cls, ValueError)
+
+
+def _word():
+    return vbraid.parse_word("s1 z2 s2^-1", "vb", 3)
+
+
+# each public value type: a factory that builds a fresh value, and one of its
+# attributes
+VALUE_TYPES = {
+    "Letter": (lambda: vbraid.Letter("s", 2, -1), "index"),
+    "GroupWord": (_word, "letters"),
+    "Relator": (lambda: vbraid.relators("vb", 3).relators[0], "lhs"),
+    "Presentation": (lambda: vbraid.relators("sym", 3), "relators"),
+    "RewriteStep": (lambda: vbraid.RewriteStep("zeta_sq:i=1", -1, 2), "position"),
+    "EqualityResult": (
+        lambda: vbraid.bfs_equal(
+            vbraid.parse_word("z1 z2 z1", "sym", 3),
+            vbraid.parse_word("z2 z1 z2", "sym", 3),
+        ),
+        "witness",
+    ),
+    "FreeWord": (lambda: vbraid.FreeWord([(1, 1), (2, -1)]), "letters"),
+    "FreeAut": (lambda: vbraid.aut_rep(_word()), "images"),
+    "Permutation": (lambda: vbraid.Permutation([2, 3, 1]), "images"),
+    "LPMatrix": (lambda: vbraid.burau(_word()), "entries"),
+    "GaussCode": (lambda: vbraid.parse_gauss("O1U2O3U1O2U3"), "visits"),
+    "AbelianImage": (lambda: vbraid.AbelianImage(1, -2), "sigma_sum"),
+    "CheckRecord": (lambda: vbraid.CheckRecord(3, "zeta_sq:i=1", "burau", True), "passed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_type_contract(name):
+    make, attr = VALUE_TYPES[name]
+    value, twin = make(), make()
+    assert type(value) is getattr(vbraid, name)
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(value, attr, None)
+    assert value == twin
+    assert not hasattr(value, "__dict__")
