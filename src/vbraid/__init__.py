@@ -42,6 +42,7 @@ from .errors import (
     PermutationError,
     SizeMismatchError,
     StrandCountError,
+    UnknownFlavorError,
     VbraidError,
     WitnessError,
     WordSyntaxError,

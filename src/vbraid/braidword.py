@@ -18,7 +18,6 @@ from itertools import repeat
 from typing import Optional
 
 from .errors import (
-    FlavorError,
     IndexOutOfRangeError,
     InverseNotAllowedError,
     LetterError,
@@ -27,6 +26,7 @@ from .errors import (
     NegativeDepthError,
     SizeMismatchError,
     StrandCountError,
+    UnknownFlavorError,
     WitnessError,
     WordSyntaxError,
 )
@@ -39,6 +39,11 @@ class Flavor(str, Enum):
     BP = "bp"    # braid-permutation group
     SB = "sb"    # singular braid (Baez-Birman) monoid
     SG = "sg"    # singular braid group
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(f.value for f in cls)
+        raise UnknownFlavorError(f"unknown flavor {value!r}; expected one of {names}")
 
 
 # kinds: "s" classical crossing, "z" virtual crossing / welded letter,
@@ -95,7 +100,8 @@ def A(i, e=1):
 
 @dataclass(frozen=True, slots=True, repr=False)
 class GroupWord:
-    """A word in the given flavor on n strands."""
+    """A word in the given flavor on n strands. Construction is the one check of
+    its letters against the flavor and n; each fault carries its letter's offset."""
 
     flavor: Flavor
     n: int
@@ -104,20 +110,22 @@ class GroupWord:
     def __post_init__(self):
         flavor = Flavor(self.flavor)
         letters = tuple(self.letters)
-        if self.n < 0:
-            raise StrandCountError(f"strand count must be nonnegative, got {self.n}")
         allowed = _ALLOWED_KINDS[flavor]
         for pos, lt in enumerate(letters):
             if lt.kind not in allowed:
-                raise FlavorError(
-                    f"letter kind {lt.kind!r} not allowed in flavor {flavor.value}"
+                raise LetterNotAllowedError(
+                    f"letter kind {lt.kind!r} not allowed in flavor {flavor.value}", pos
                 )
             if lt.index > self.n - 1:
                 raise IndexOutOfRangeError(
                     f"letter index {lt.index} out of range for n={self.n} strands", pos
                 )
             if flavor is Flavor.SB and lt.kind == "a" and lt.exponent != 1:
-                raise FlavorError("a letters are not invertible in the monoid flavor")
+                raise InverseNotAllowedError(
+                    "a letters have no inverses in the monoid flavor", pos
+                )
+        if self.n < 0:  # checked last, so a nonempty word reports its first letter
+            raise StrandCountError(f"strand count must be nonnegative, got {self.n}")
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "letters", letters)
 
@@ -139,43 +147,27 @@ class GroupWord:
         return self.replace(self.letters + other.letters)
 
 
-_TOKEN_RE = re.compile(r"([sza])([0-9]+)(\^-1)?$")
+_TOKEN_RE = re.compile(r"([sza])0*([1-9][0-9]*)(\^-1)?$")
 
 
 def parse_word(text: str, flavor, n: int) -> GroupWord:
-    """Parse word text, validating flavor and index constraints.
+    """Tokenize word text; GroupWord then checks the letters against flavor and n.
 
-    Errors carry the 0-based character position of the offending token.
+    Every WordSyntaxError carries the 0-based character position of its token.
     """
-    flavor = Flavor(flavor)
-    allowed = _ALLOWED_KINDS[flavor]
-    letters = []
-    pos = 0
+    letters, starts = [], []
     for match in re.finditer(r"\S+", text):
-        tok = match.group(0)
-        pos = match.start()
-        m = _TOKEN_RE.match(tok)
+        m = _TOKEN_RE.match(match.group(0))
         if m is None:
-            raise WordSyntaxError(f"cannot parse token {tok!r}", pos)
-        kind, itext, inv = m.groups()
-        index = int(itext)
-        if kind not in allowed:
-            raise LetterNotAllowedError(
-                f"letter kind {kind!r} not allowed in flavor {flavor.value}", pos
-            )
-        if not 1 <= index <= n - 1:
-            raise IndexOutOfRangeError(
-                f"index {index} out of range 1..{n - 1}", pos
-            )
-        exponent = -1 if inv else 1
-        if kind == "z":
-            exponent = 1  # z^2 = 1, so z^-1 = z
-        if kind == "a" and exponent == -1 and flavor is Flavor.SB:
-            raise InverseNotAllowedError(
-                "a letters have no inverses in the monoid flavor", pos
-            )
-        letters.append(Letter(kind, index, exponent))
-    return GroupWord(flavor, n, letters)
+            raise WordSyntaxError(f"cannot parse token {match.group(0)!r}", match.start())
+        kind, index, inv = m.groups()
+        # z^2 = 1, so z^-1 = z
+        letters.append(Letter(kind, int(index), -1 if inv and kind != "z" else 1))
+        starts.append(match.start())
+    try:
+        return GroupWord(flavor, n, letters)
+    except WordSyntaxError as exc:
+        raise type(exc)(exc.message, starts[exc.position]) from None
 
 
 def free_reduce(w: GroupWord) -> GroupWord:
@@ -237,11 +229,9 @@ def relators(flavor, n: int) -> Presentation:
             Relator(name, GroupWord(flavor, n, lhs), GroupWord(flavor, n, rhs))
         )
 
-    has_z = "z" in _ALLOWED_KINDS[flavor]
-    has_s = "s" in _ALLOWED_KINDS[flavor]
-    has_a = "a" in _ALLOWED_KINDS[flavor]
+    allowed = _ALLOWED_KINDS[flavor]
 
-    if has_z:
+    if "z" in allowed:
         for i in range(1, n):
             add(f"zeta_sq:i={i}", [Z(i), Z(i)], [])
         for i in range(1, n):
@@ -254,7 +244,7 @@ def relators(flavor, n: int) -> Presentation:
                 [Z(i + 1), Z(i), Z(i + 1)],
             )
 
-    if has_s:
+    if "s" in allowed:
         for i in range(1, n):
             for j in range(i + 2, n):
                 add(f"sigma_comm:i={i},j={j}", [S(i), S(j)], [S(j), S(i)])
@@ -284,7 +274,7 @@ def relators(flavor, n: int) -> Presentation:
                 [Z(i + 1), S(i), S(i + 1)],
             )
 
-    if has_a:
+    if "a" in allowed:
         for i in range(1, n):
             for j in range(i + 2, n):
                 add(f"a_comm:i={i},j={j}", [A(i), A(j)], [A(j), A(i)])
@@ -347,23 +337,10 @@ def rewrite_rules(flavor, n: int):
 
     Cancellation pairs are explicit rules so every search step is a pure
     subword splice; witnesses then replay exactly by splicing. Built once
-    per (flavor, n); every call for that pair returns the same tuple.
+    per (flavor, n), with its engine; every call for that pair returns the
+    same tuple.
     """
-    return _rewrite_rules(Flavor(flavor), n)
-
-
-@lru_cache(maxsize=None)
-def _rewrite_rules(flavor, n):
-    rules = list(relators(flavor, n).relators)
-    # z cancellation is the zeta_sq relator, and the singular flavors carry
-    # their cancellations as sigma_inv_* and a_inv_* relators
-    if flavor in (Flavor.BR, Flavor.VB, Flavor.BP):
-        empty = GroupWord(flavor, n)
-        for i in range(1, n):
-            for side, seq in (("r", [S(i), S(i, -1)]), ("l", [S(i, -1), S(i)])):
-                lhs = GroupWord(flavor, n, seq)
-                rules.append(Relator(f"cancel_s_{side}:i={i}", lhs, empty))
-    return tuple(rules)
+    return rewrite_engine(flavor, n).rules
 
 
 def _splice(w: GroupWord, step: RewriteStep, rule: Optional[Relator]) -> GroupWord:
@@ -451,7 +428,16 @@ def rewrite_engine(flavor, n: int) -> RewriteEngine:
 
 @lru_cache(maxsize=None)
 def _rewrite_engine(flavor, n):
-    return RewriteEngine(_rewrite_rules(flavor, n))
+    rules = list(relators(flavor, n).relators)
+    # z cancellation is the zeta_sq relator, and the singular flavors carry
+    # their cancellations as sigma_inv_* and a_inv_* relators
+    if flavor in (Flavor.BR, Flavor.VB, Flavor.BP):
+        empty = GroupWord(flavor, n)
+        for i in range(1, n):
+            for side, seq in (("r", [S(i), S(i, -1)]), ("l", [S(i, -1), S(i)])):
+                lhs = GroupWord(flavor, n, seq)
+                rules.append(Relator(f"cancel_s_{side}:i={i}", lhs, empty))
+    return RewriteEngine(tuple(rules))
 
 
 def _links_to_root(seen, node):
@@ -463,13 +449,12 @@ def _links_to_root(seen, node):
     return links
 
 
-def bfs_equal(
-    w1: GroupWord, w2: GroupWord, depth: int = 6, max_len: Optional[int] = None
-) -> EqualityResult:
+def bfs_equal(w1: GroupWord, w2: GroupWord, depth: int = 6) -> EqualityResult:
     """Bidirectional breadth-first search over the rewrite graph.
 
     Returns Equal with a witness replaying w1 into w2, or Unknown if no
-    derivation of at most `depth` rewrite steps exists within the length cap.
+    derivation of at most `depth` rewrite steps exists whose words stay within
+    max(len(w1), len(w2)) + 2 * depth letters.
     Unknown is never a claim of inequality. Exploration order (rules in
     database order, positions left to right) makes the witness deterministic.
     Raises NegativeDepthError if depth < 0.
@@ -480,8 +465,7 @@ def bfs_equal(
         raise NegativeDepthError(f"search depth must be >= 0, got {depth}")
     if w1.letters == w2.letters:
         return EqualityResult(True, ())
-    if max_len is None:
-        max_len = max(len(w1), len(w2)) + 2 * depth
+    max_len = max(len(w1), len(w2)) + 2 * depth
     engine = rewrite_engine(w1.flavor, w1.n)
 
     start_f = tuple(_code(lt) for lt in w1.letters)

@@ -5,11 +5,21 @@ class VbraidError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class FlavorError(VbraidError):
+    """Operation not defined for the word's flavor."""
+
+
+class UnknownFlavorError(FlavorError, ValueError):
+    """A flavor name other than br, sym, vb, bp, sb and sg."""
+
+
 class WordSyntaxError(VbraidError):
-    """Malformed word text; ``position`` is the 0-based offset of the bad token."""
+    """A bad letter in a word; ``position`` is its 0-based character offset from
+    ``parse_word`` and its letter offset from ``GroupWord``."""
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -17,16 +27,12 @@ class IndexOutOfRangeError(WordSyntaxError):
     """Generator index outside 1..n-1."""
 
 
-class LetterNotAllowedError(WordSyntaxError):
+class LetterNotAllowedError(WordSyntaxError, FlavorError):
     """Letter kind not present in the requested flavor's alphabet."""
 
 
-class InverseNotAllowedError(WordSyntaxError):
+class InverseNotAllowedError(WordSyntaxError, FlavorError):
     """Inverse of a non-invertible monoid generator."""
-
-
-class FlavorError(VbraidError):
-    """Operation not defined for the word's flavor."""
 
 
 class SizeMismatchError(VbraidError):

@@ -33,11 +33,6 @@ class LaurentPoly:
     def terms(self):
         return dict(self._terms)
 
-    @classmethod
-    def t_power(cls, k, coef=1):
-        """The monomial coef * t^k."""
-        return cls({k: coef})
-
     def is_unit(self):
         """Return (sign, exponent) if self = sign * t^exponent, else None.
 
@@ -180,6 +175,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-T = LaurentPoly.t_power(1)
-T_INV = LaurentPoly.t_power(-1)
+T = LaurentPoly({1: 1})
+T_INV = LaurentPoly({-1: 1})
 

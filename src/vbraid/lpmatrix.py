@@ -37,9 +37,6 @@ class LPMatrix:
     def identity(cls, n):
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    def __matmul__(self, other):
-        return mat_mul(self, other)
-
     def __repr__(self):
         return f"LPMatrix({[[str(e) for e in row] for row in self.entries]})"
 
@@ -143,7 +140,7 @@ def mat_inverse(a: LPMatrix) -> LPMatrix:
     if unit is None:
         raise NonUnitDeterminantError(f"determinant {det} is not a unit of Z[t,t^-1]")
     s, k = unit
-    det_inv = LaurentPoly.t_power(-k, s)  # (s*t^k)^-1 = s*t^-k since s = +-1
+    det_inv = LaurentPoly({-k: s})  # (s*t^k)^-1 = s*t^-k since s = +-1
     return LPMatrix([[e * det_inv for e in row[n:]] for row in rows])
 
 

@@ -9,6 +9,7 @@ from conftest import random_word
 
 from vbraid import braidword
 from vbraid.braidword import (
+    A,
     EqualityResult,
     Flavor,
     GroupWord,
@@ -35,9 +36,11 @@ from vbraid.errors import (
     NegativeDepthError,
     SizeMismatchError,
     StrandCountError,
+    UnknownFlavorError,
     WitnessError,
     WordSyntaxError,
 )
+from vbraid.verify import verify_range
 
 
 class TestParse:
@@ -64,6 +67,15 @@ class TestParse:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             parse_word("s3", "vb", 3)
+
+    @pytest.mark.parametrize("token", ["s0", "s00"])
+    def test_zero_index_is_a_syntax_error(self, token):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(f"s1 {token}", "vb", 3)
+        assert type(exc.value) is WordSyntaxError and exc.value.position == 3
+
+    def test_leading_zeros_dropped(self):
+        assert parse_word("s01", "vb", 3).letters == (S(1),)
 
     def test_group_word_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError) as exc:
@@ -432,12 +444,47 @@ def test_engine_compiled_once_per_flavor_and_n():
 def test_import_compiles_nothing():
     code = (
         "import vbraid, vbraid.braidword as b; "
-        "assert b._rewrite_engine.cache_info().currsize == 0; "
-        "assert b._rewrite_rules.cache_info().currsize == 0"
+        "assert b._rewrite_engine.cache_info().currsize == 0"
     )
     src = str(Path(braidword.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# each letter fault: text with the bad token at character 3, the same letters,
+# the error both must raise
+LETTER_FAULTS = {
+    "kind": ("br", 3, "s1 z1", [S(1), Z(1)], LetterNotAllowedError),
+    "index": ("vb", 3, "s1 s3", [S(1), S(3)], IndexOutOfRangeError),
+    "monoid_inverse": ("sb", 3, "a1 a1^-1", [A(1), A(1, -1)], InverseNotAllowedError),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LETTER_FAULTS))
+def test_letter_fault_same_error_from_parse_and_construct(fault):
+    flavor, n, text, letters, error = LETTER_FAULTS[fault]
+    with pytest.raises(WordSyntaxError) as parsed:
+        parse_word(text, flavor, n)
+    with pytest.raises(WordSyntaxError) as built:
+        GroupWord(flavor, n, letters)
+    assert type(parsed.value) is type(built.value) is error
+    assert parsed.value.position == 3 and built.value.position == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_word("s1", "xx", 3),
+        lambda: GroupWord("xx", 3),
+        lambda: relators("xx", 3),
+        lambda: rewrite_rules("xx", 3),
+        lambda: verify_range("xx", 2, 3),
+    ],
+    ids=["parse_word", "GroupWord", "relators", "rewrite_rules", "verify_range"],
+)
+def test_unknown_flavor_typed_error(call):
+    with pytest.raises(UnknownFlavorError, match="br, sym, vb, bp, sb, sg"):
+        call()
 
 
 def test_flavor_letter_validation():

@@ -20,6 +20,10 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "-n", "2", "q1")
         assert code == 2 and "parse error" in err
 
+    def test_zero_index_exit_2(self, capsys):
+        code, out, err = run(capsys, "reduce", "-n", "3", "s1 s00")
+        assert code == 2 and out == "" and "position 3" in err
+
     def test_negative_strand_count_exit_2(self, capsys):
         code, out, err = run(capsys, "reduce", "-n", "-1", "")
         assert code == 2 and out == "" and "strand count" in err

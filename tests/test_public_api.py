@@ -38,6 +38,7 @@ PUBLIC_NAMES = [
     "RewriteStep",
     "SizeMismatchError",
     "StrandCountError",
+    "UnknownFlavorError",
     "VbraidError",
     "WitnessError",
     "WordSyntaxError",
@@ -89,7 +90,7 @@ def test_public_surface():
 def test_typed_value_errors_are_value_errors():
     for name in ("CheckNotApplicableError", "InexactDivisionError", "LetterError",
                  "NegativeDepthError", "ParityError", "PermutationError",
-                 "StrandCountError", "WitnessError"):
+                 "StrandCountError", "UnknownFlavorError", "WitnessError"):
         cls = getattr(vbraid, name)
         assert issubclass(cls, vbraid.VbraidError) and issubclass(cls, ValueError)
 
