@@ -32,6 +32,7 @@ from .errors import (
     InexactDivisionError,
     InverseNotAllowedError,
     LabelCountError,
+    LaurentTermError,
     LetterError,
     LetterNotAllowedError,
     MonoidHasNoInversesError,

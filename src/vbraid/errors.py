@@ -93,3 +93,7 @@ class PermutationError(VbraidError, ValueError):
 
 class InexactDivisionError(VbraidError, ValueError):
     """A quotient or negative power of Laurent polynomials outside Z[t, t^-1]."""
+
+
+class LaurentTermError(VbraidError, ValueError):
+    """A Laurent polynomial term whose exponent or coefficient is not an integer."""

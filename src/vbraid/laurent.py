@@ -1,96 +1,225 @@
 """Exact arithmetic in Z[t, t^-1] with arbitrary-precision integer coefficients.
 
-Values are immutable and kept in canonical form: no zero coefficient is ever
-stored, so structural equality of the term mappings is ring equality.
+Each value is packed into one Python integer by Kronecker substitution
+(Harvey, *Faster polynomial multiplication via multipoint Kronecker
+substitution*, 2009): c_0 t^lo + ... + c_m t^(lo+m) is stored as
+
+    lo, v = c_0 + c_1 2^k + ... + c_m 2^(km), k, bits
+
+with balanced signed digits c_i, so ring operations on values become
+operations on integers: a sum is one shifted addition, a product one integer
+product and an exact quotient one ``divmod``.
+
+- ``k``, the slot width, is the least multiple of 64 with
+  ``max |c_i|.bit_length() <= k - 2``; ``c_0 != 0`` unless the value is zero,
+  which is ``lo = 0, v = 0, k = 64``. The digits of a packed integer are
+  unique, so two values are equal exactly when ``(lo, v, k)`` are.
+- ``bits`` is an upper bound on ``max |c_i|.bit_length()``. It is not
+  compared, and is exact after any operation that had to unpack the digits.
+
+**Why no carry occurs.** Reading the digits back is exact as long as every
+digit of a result lies strictly inside the slot, which holds when its
+bit length is at most k - 2. A sum's coefficients have at most
+``max(b1, b2) + 1`` bits; a product's, each a sum of at most m = min(#digits)
+terms, at most ``b1 + b2 + (m - 1).bit_length()`` bits. An operation runs on
+the operands' 64-bit slots when that bound is at most 62, and otherwise on
+both operands repacked at the width the bound requires. That is the same
+operation at a wider slot, after which the result is unpacked and repacked
+at its least width with its exact ``bits``.
+
+Memory is proportional to the degree span: a value of span m takes about
+m * k bits however few of its coefficients are nonzero.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+from functools import lru_cache
+from operator import index
 
-from .errors import InexactDivisionError
+from .errors import InexactDivisionError, LaurentTermError
+
+_new = object.__new__
+
+
+def _width(bits):
+    """The least slot width, a multiple of 64, that holds digits of `bits` bits
+    with two bits to spare."""
+    return (bits + 65) >> 6 << 6
+
+
+@lru_cache(maxsize=512)
+def _bias(n, k):
+    """2^(k-1) in each of n slots of k bits."""
+    return int.from_bytes((bytes(k // 8 - 1) + b"\x80") * n, "little")
+
+
+def _unpack(v, k, n):
+    """The n balanced base-2^k digits of v, lowest first, or None if v has none.
+
+    Adding 2^(k-1) to every slot turns the digits into the unsigned base-2^k
+    digits of one nonnegative integer, so they are read off its bytes.
+    """
+    u = v + _bias(n, k)
+    if u < 0 or u >> (k * n):
+        return None
+    raw = u.to_bytes(k * n // 8, "little")
+    half = 1 << (k - 1)
+    if k == 64:
+        return [x - half for x in struct.unpack(f"<{n}Q", raw)]
+    step = k // 8
+    return [int.from_bytes(raw[i:i + step], "little") - half for i in range(0, len(raw), step)]
+
+
+def _digits(p):
+    return _unpack(p._v, p._k, p._v.bit_length() // p._k + 1)
+
+
+def _pack(digits, k):
+    half = 1 << (k - 1)
+    if k == 64:
+        raw = struct.pack(f"<{len(digits)}Q", *[c + half for c in digits])
+    else:
+        raw = b"".join((c + half).to_bytes(k // 8, "little") for c in digits)
+    return int.from_bytes(raw, "little") - _bias(len(digits), k)
+
+
+def _at(p, k):
+    """p's packed integer at slot width k, which is at least p's own."""
+    return p._v if p._k == k else _pack(_digits(p), k)
+
+
+def _make(lo, v, k, bits):
+    out = _new(LaurentPoly)
+    out._lo, out._v, out._k, out._bits = lo, v, k, bits
+    return out
+
+
+def _canonical(lo, v, k, bits):
+    """The value whose base-2^k digits from exponent lo are those of v.
+
+    Every digit has at most `bits` <= k - 2 bits. Zero low digits are
+    stripped, and a slot wider than 64 bits is narrowed to the least width
+    that holds the digits' exact bits.
+    """
+    if not v:
+        return ZERO
+    if not v & ((1 << k) - 1):
+        zeros = ((v & -v).bit_length() - 1) // k
+        v >>= k * zeros
+        lo += zeros
+    if k > 64:
+        digits = _unpack(v, k, v.bit_length() // k + 1)
+        bits = max(max(digits), -min(digits)).bit_length()
+        narrow = _width(bits)
+        if narrow < k:
+            v, k = _pack(digits, narrow), narrow
+    return _make(lo, v, k, bits)
+
+
+def _json_int(x):
+    """A JSON exponent or coefficient: a string spelling an integer, or an integer."""
+    if not isinstance(x, str):
+        return x
+    try:
+        return int(x)
+    except ValueError:
+        raise LaurentTermError(f"JSON term {x!r} is not an integer") from None
 
 
 class LaurentPoly:
-    """An element of Z[t, t^-1], stored as a mapping exponent -> coefficient.
+    """An element of Z[t, t^-1], built from a mapping exponent -> coefficient.
 
-    The one value type that is not a frozen dataclass: its arithmetic sets
-    ``_terms`` of each result directly, and a generated ``__hash__`` cannot
-    hash a dict field, so equality and hashing are written out.
+    Exponents and coefficients must be integers (``operator.index``); anything
+    else raises LaurentTermError. The one value type that is not a frozen
+    dataclass: its arithmetic builds each result's packed fields directly,
+    and its equality compares the packed form but not the ``bits`` bound.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lo", "_v", "_k", "_bits")
 
     def __init__(self, terms=None):
         canon = {}
         if terms:
             for exp, coef in dict(terms).items():
+                try:
+                    exp, coef = index(exp), index(coef)
+                except TypeError:
+                    raise LaurentTermError(
+                        f"term {exp!r}: {coef!r} has a non-integer exponent or coefficient"
+                    ) from None
                 if coef:
-                    canon[int(exp)] = int(coef)
-        self._terms = canon
+                    canon[exp] = coef
+        if not canon:
+            self._lo, self._v, self._k, self._bits = 0, 0, 64, 0
+            return
+        lo = min(canon)
+        digits = [canon.get(e, 0) for e in range(lo, max(canon) + 1)]
+        bits = max(abs(c) for c in digits).bit_length()
+        k = _width(bits)
+        self._lo, self._v, self._k, self._bits = lo, _pack(digits, k), k, bits
 
     @property
     def terms(self):
-        return dict(self._terms)
+        if not self._v:
+            return {}
+        return {self._lo + i: c for i, c in enumerate(_digits(self)) if c}
 
     def is_unit(self):
         """Return (sign, exponent) if self = sign * t^exponent, else None.
 
         The units of Z[t, t^-1] are exactly the monomials +-t^k.
         """
-        if len(self._terms) != 1:
-            return None
-        (exp, coef), = self._terms.items()
-        if coef == 1:
-            return (1, exp)
-        if coef == -1:
-            return (-1, exp)
+        if self._v == 1 or self._v == -1:
+            return (self._v, self._lo)
         return None
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._v)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._v == other._v and self._lo == other._lo and self._k == other._k
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._lo, self._v))
 
     def __add__(self, other):
-        terms = dict(self._terms)
-        for exp, coef in other._terms.items():
-            new = terms.get(exp, 0) + coef
-            if new:
-                terms[exp] = new
-            elif exp in terms:
-                del terms[exp]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        if not other._v:
+            return self
+        if not self._v:
+            return other
+        a, b = (self, other) if self._lo <= other._lo else (other, self)
+        bits = max(a._bits, b._bits) + 1
+        k = _width(bits)
+        v = _at(a, k) + (_at(b, k) << (k * (b._lo - a._lo)))
+        return _canonical(a._lo, v, k, bits)
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _make(self._lo, -self._v, self._k, self._bits)
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                new = terms.get(e, 0) + c1 * c2
-                if new:
-                    terms[e] = new
-                elif e in terms:
-                    del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = terms
-        return out
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        v1, v2 = self._v, other._v
+        if not v1 or not v2:
+            return ZERO
+        lo = self._lo + other._lo
+        shorter = min(v1.bit_length() // self._k, v2.bit_length() // other._k)
+        bits = self._bits + other._bits + shorter.bit_length()
+        if bits <= 62:
+            return _make(lo, v1 * v2, 64, bits)
+        k = _width(bits)
+        return _canonical(lo, _at(self, k) * _at(other, k), k, bits)
 
     def __pow__(self, k):
         if k < 0:
@@ -112,58 +241,66 @@ class LaurentPoly:
     def exact_div(self, other):
         """Exact division by a nonzero divisor; a remainder raises InexactDivisionError.
 
-        Dense long division over the only possible quotient degrees,
-        min(self) - min(other) .. max(self) - max(other), from the top down,
-        so it takes at most one step per quotient degree.
+        Write A = self and D = other shifted to start at t^0, and X = 2^k for
+        a slot width k. A = Q * D gives A(X) = Q(X) * D(X), so a nonzero
+        remainder of the packed integers proves the division inexact at any
+        width. When the remainder is zero, the integer quotient q is unpacked
+        into balanced digits Q'. If
+        ``bits(Q') + bits(D) + (min(#digits) - 1).bit_length() <= k - 2``,
+        Q' * D has no carry between slots, so its digits are those of its
+        packed integer q * D(X) = A(X), which are A's: Q' * D = A, and Q' is
+        the quotient.
+
+        The test is made first at the operands' own width, 64 bits for any
+        coefficients below 2^62. If it fails there, the division is redone at
+        a width where a true quotient must pass: by the Landau-Mignotte bound,
+        every coefficient of an exact quotient has |q_i| <= 2^deg(Q) * ||A||_2,
+        and ||A||_2 <= sqrt(#digits(A)) * 2^bits(A). Failing at that width
+        proves the division inexact.
         """
-        if not other:
+        if not isinstance(other, LaurentPoly):
+            raise TypeError(f"cannot divide a LaurentPoly by {type(other).__name__}")
+        if not other._v:
             raise ZeroDivisionError("division by the zero polynomial")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {}
-        if not self:
-            return out
-        lo, hi = min(self._terms), max(self._terms)
-        dlo, dhi = min(other._terms), max(other._terms)
-        qlo = lo - dlo
-        rem = [0] * (hi - lo + 1)
-        for e, c in self._terms.items():
-            rem[e - lo] = c
-        divisor = [(e - dlo, c) for e, c in other._terms.items()]
-        dcoef = other._terms[dhi]
-        for qe in range(hi - dhi, qlo - 1, -1):
-            top = rem[qe + dhi - lo]
-            if not top:
-                continue
-            qc, r = divmod(top, dcoef)
-            if r:
-                raise InexactDivisionError(f"{self} is not divisible by {other}")
-            out._terms[qe] = qc
-            base = qe - qlo
-            for off, c in divisor:
-                rem[base + off] -= qc * c
-        if any(rem):
-            raise InexactDivisionError(f"{self} is not divisible by {other}")
-        return out
+        if not self._v:
+            return ZERO
+        na = self._v.bit_length() // self._k + 1
+        nd = other._v.bit_length() // other._k + 1
+        nq = na - nd + 1
+        if nq > 0:
+            spread = (min(nq, nd) - 1).bit_length()
+            bound = nq - 1 + self._bits + ((na - 1).bit_length() + 1) // 2
+            own = max(self._k, other._k)
+            wide = max(own, _width(bound + other._bits + spread))
+            for k in (own, wide) if wide > own else (own,):
+                q, r = divmod(_at(self, k), _at(other, k))
+                if r:
+                    break
+                digits = _unpack(q, k, nq)
+                if digits is not None:
+                    bits = max(max(digits), -min(digits)).bit_length()
+                    if bits + other._bits + spread <= k - 2:
+                        return _canonical(self._lo - other._lo, q, k, bits)
+        raise InexactDivisionError(f"{self} is not divisible by {other}")
 
     def __str__(self):
-        if not self._terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        parts = []
-        for exp in sorted(self._terms):
-            coef = self._terms[exp]
-            parts.append(str(coef) if exp == 0 else f"{coef}*t^{exp}")
-        return " + ".join(parts)
+        return " + ".join(
+            str(coef) if exp == 0 else f"{coef}*t^{exp}" for exp, coef in terms.items()
+        )
 
     def __repr__(self):
-        return f"LaurentPoly({self._terms!r})"
+        return f"LaurentPoly({self.terms!r})"
 
     def to_json_obj(self):
         """JSON encoding: {exponent-as-string: coefficient-as-string}."""
-        return {str(e): str(c) for e, c in sorted(self._terms.items())}
+        return {str(e): str(c) for e, c in self.terms.items()}
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls({int(e): int(c) for e, c in obj.items()})
+        return cls({_json_int(e): _json_int(c) for e, c in obj.items()})
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), sort_keys=True)
@@ -177,4 +314,3 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 T = LaurentPoly({1: 1})
 T_INV = LaurentPoly({-1: 1})
-

@@ -3,7 +3,7 @@ import random
 from hypothesis import strategies as st
 
 from vbraid.braidword import Flavor, GroupWord, Letter
-from vbraid.errors import SizeMismatchError
+from vbraid.errors import InexactDivisionError, SizeMismatchError
 from vbraid.laurent import ONE, T, T_INV, ZERO
 from vbraid.lpmatrix import LPMatrix
 from vbraid.perm import Permutation
@@ -81,3 +81,64 @@ def p_transposition(i, n):
     images = list(range(1, n + 1))
     images[i - 1], images[i] = images[i], images[i - 1]
     return Permutation(images)
+
+
+# Oracle: Laurent polynomial arithmetic on {exponent: coefficient} dicts that
+# never store a zero coefficient, one term at a time.
+
+
+def d_add(a, b):
+    terms = dict(a)
+    for exp, coef in b.items():
+        new = terms.get(exp, 0) + coef
+        if new:
+            terms[exp] = new
+        elif exp in terms:
+            del terms[exp]
+    return terms
+
+
+def d_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def d_mul(a, b):
+    terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            new = terms.get(e, 0) + c1 * c2
+            if new:
+                terms[e] = new
+            elif e in terms:
+                del terms[e]
+    return terms
+
+
+def d_exact_div(a, b):
+    """Dense long division from the top down; a remainder raises InexactDivisionError."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    out = {}
+    if not a:
+        return out
+    lo, hi = min(a), max(a)
+    dlo, dhi = min(b), max(b)
+    qlo = lo - dlo
+    rem = [0] * (hi - lo + 1)
+    for e, c in a.items():
+        rem[e - lo] = c
+    divisor = [(e - dlo, c) for e, c in b.items()]
+    for qe in range(hi - dhi, qlo - 1, -1):
+        top = rem[qe + dhi - lo]
+        if not top:
+            continue
+        qc, r = divmod(top, b[dhi])
+        if r:
+            raise InexactDivisionError("remainder")
+        out[qe] = qc
+        for off, c in divisor:
+            rem[qe - qlo + off] -= qc * c
+    if any(rem):
+        raise InexactDivisionError("remainder")
+    return out

@@ -1,11 +1,13 @@
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given
+from conftest import d_add, d_exact_div, d_mul, d_neg
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbraid.errors import InexactDivisionError
+from vbraid.errors import InexactDivisionError, LaurentTermError
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 
 
@@ -143,6 +145,10 @@ def test_exact_div_inexact_raises():
         (poly({0: 1, 1: 1}), poly({0: 1, 1: -1})),
         (poly({-3: 2, 2: 5}), poly({0: 1, 1: 1, 2: 1})),
         (poly({0: 1, 2: 1}), poly({0: 2, 1: 2})),
+        # 2^64 / 2 is exact in Z, so the packed integers divide, but t / 2 is
+        # not in Z[t, t^-1]
+        (T, poly({0: 2})),
+        (poly({3: 1, 4: 5}), poly({0: 2**31})),
     ):
         with pytest.raises(ValueError):
             a.exact_div(b)
@@ -170,3 +176,113 @@ def test_pow():
 def test_negative_power_of_non_unit_raises_typed_error():
     with pytest.raises(InexactDivisionError):
         poly({0: 1, 1: 1}) ** -1
+
+
+# Coefficients that stress the packed form: small ones, ones up to 2^200 that
+# need slots wider than 64 bits, and ones at the 2^61..2^63 boundary where a
+# 64-bit slot stops holding a digit with room to spare.
+wide_coefs = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-(2**200), 2**200),
+    st.builds(lambda m, s: s * m, st.integers(2**61 - 4, 2**63 + 4), st.sampled_from((1, -1))),
+)
+wide_terms = st.dictionaries(st.integers(-40, 40), wide_coefs, max_size=8).map(
+    lambda d: {e: c for e, c in d.items() if c}
+)
+
+
+def _div_outcome(div, a, b):
+    try:
+        return div(a, b)
+    except InexactDivisionError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(wide_terms, wide_terms)
+def test_arithmetic_matches_dict_oracle(a, b):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    assert pa.terms == a
+    # == compares the packed form, so a result in a non-canonical slot fails
+    assert pa + pb == LaurentPoly(d_add(a, b))
+    assert pa - pb == LaurentPoly(d_add(a, d_neg(b)))
+    assert -pa == LaurentPoly(d_neg(a))
+    assert pa * pb == LaurentPoly(d_mul(a, b))
+    if b:
+        assert (pa * pb).exact_div(pb) == pa
+        oracle = _div_outcome(d_exact_div, a, b)
+        packed = _div_outcome(lambda x, y: LaurentPoly(x).exact_div(LaurentPoly(y)).terms, a, b)
+        assert packed == oracle
+
+
+@given(wide_terms, wide_terms)
+def test_one_value_one_form(a, b):
+    """A value reached by the constructor, by arithmetic and by JSON is one value."""
+    direct = LaurentPoly(d_add(a, b))
+    by_arithmetic = (LaurentPoly(a) * T + LaurentPoly(b) * T) * T_INV
+    by_json = LaurentPoly.from_json(direct.to_json())
+    for other in (by_arithmetic, by_json):
+        assert other == direct and hash(other) == hash(direct)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly({0.5: 1.7}),
+        lambda: LaurentPoly({0: 1.0}),
+        lambda: LaurentPoly({0: "3"}),
+        lambda: LaurentPoly({"1": 3}),
+        lambda: LaurentPoly.from_json_obj({"0": "x"}),
+        lambda: LaurentPoly.from_json_obj({"x": "1"}),
+        lambda: LaurentPoly.from_json_obj({"0": 1.5}),
+        lambda: LaurentPoly.from_json('{"0": "0.5"}'),
+    ],
+    ids=["float_exponent", "float_coefficient", "str_coefficient", "str_exponent",
+         "json_word", "json_word_exponent", "json_float", "json_fraction_string"],
+)
+def test_non_integer_terms_raise_typed_error(build):
+    with pytest.raises(LaurentTermError):
+        build()
+
+
+def test_mixed_type_arithmetic_raises_type_error():
+    for op in (
+        lambda: ONE + 1,
+        lambda: 1 + ONE,
+        lambda: ONE - 1,
+        lambda: ONE * 2,
+        lambda: 2 * ONE,
+        lambda: ONE.exact_div(1),
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_slot_boundary_products():
+    """Products and sums whose coefficients reach the 62-bit limit of a 64-bit slot."""
+    for m in (1, 2, 3, 4):
+        for b1 in range(1, 66):
+            for b2 in range(max(1, 56 - b1), 67 - b1):
+                for sign in (1, -1):
+                    a = {i: 2**b1 - 1 for i in range(m)}
+                    b = {i: sign * (2**b2 - 1) for i in range(m)}
+                    pa, pb = LaurentPoly(a), LaurentPoly(b)
+                    assert pa * pb == LaurentPoly(d_mul(a, b))
+                    assert pa + pa == LaurentPoly(d_add(a, a))
+                    assert (pa * pb).exact_div(pa) == pb
+
+
+def test_exact_div_quotient_larger_than_dividend():
+    # (1 - t^10)^10 / (1 - t)^10 = (1 + t + ... + t^9)^10: the quotient's
+    # coefficients are 21 bits wider than the dividend's, and the scale 2^36
+    # leaves the dividend in 64-bit slots and puts the quotient past them
+    d = LaurentPoly({i: (-1) ** i * math.comb(10, i) for i in range(11)})
+    q = LaurentPoly(
+        {e: 2**36 * c for e, c in (LaurentPoly({i: 1 for i in range(10)}) ** 10).terms.items()}
+    )
+    a = q * d
+    assert max(map(abs, a.terms.values())).bit_length() <= 62
+    assert max(map(abs, q.terms.values())).bit_length() > 62
+    assert a.exact_div(d) == q
+    with pytest.raises(InexactDivisionError):
+        (a + ONE).exact_div(d)

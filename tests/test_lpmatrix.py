@@ -185,6 +185,26 @@ class TestInverse:
             assert mat_mul(inv, a) == LPMatrix.identity(n)
 
 
+def test_det_and_inverse_with_wide_coefficients():
+    """A unipotent matrix whose entries have ~100-bit coefficients, so the
+    elimination runs on slots wider than 64 bits: det 1 and an exact inverse."""
+    rng = random.Random(11)
+    n = 4
+
+    def entry():
+        return LaurentPoly({e: rng.randrange(-(2**100), 2**100) for e in range(-1, 2)})
+
+    lower = LPMatrix([[ONE if i == j else entry() if j < i else ZERO for j in range(n)]
+                      for i in range(n)])
+    upper = LPMatrix([[ONE if i == j else entry() if j > i else ZERO for j in range(n)]
+                      for i in range(n)])
+    m = mat_mul(lower, upper)
+    assert mat_det(m) == ONE
+    assert subset_dp_det(m) == ONE
+    assert mat_mul(m, mat_inverse(m)) == LPMatrix.identity(n)
+    assert mat_mul(mat_inverse(m), m) == LPMatrix.identity(n)
+
+
 class TestBlockDiag:
     def test_identities(self):
         assert block_diag(LPMatrix.identity(2), LPMatrix.identity(3)) == LPMatrix.identity(5)

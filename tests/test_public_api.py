@@ -23,6 +23,7 @@ PUBLIC_NAMES = [
     "LPMatrix",
     "LabelCountError",
     "LaurentPoly",
+    "LaurentTermError",
     "Letter",
     "LetterError",
     "LetterNotAllowedError",
@@ -88,8 +89,8 @@ def test_public_surface():
 
 
 def test_typed_value_errors_are_value_errors():
-    for name in ("CheckNotApplicableError", "InexactDivisionError", "LetterError",
-                 "NegativeDepthError", "ParityError", "PermutationError",
+    for name in ("CheckNotApplicableError", "InexactDivisionError", "LaurentTermError",
+                 "LetterError", "NegativeDepthError", "ParityError", "PermutationError",
                  "StrandCountError", "UnknownFlavorError", "WitnessError"):
         cls = getattr(vbraid, name)
         assert issubclass(cls, vbraid.VbraidError) and issubclass(cls, ValueError)
