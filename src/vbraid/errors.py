@@ -96,4 +96,5 @@ class InexactDivisionError(VbraidError, ValueError):
 
 
 class LaurentTermError(VbraidError, ValueError):
-    """A Laurent polynomial term whose exponent or coefficient is not an integer."""
+    """A Laurent polynomial term whose exponent or coefficient is not an integer,
+    or a polynomial too wide to pack into ``laurent.MAX_PACKED_BITS`` bits."""

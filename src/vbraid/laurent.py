@@ -27,20 +27,28 @@ both operands repacked at the width the bound requires. That is the same
 operation at a wider slot, after which the result is unpacked and repacked
 at its least width with its exact ``bits``.
 
-Memory is proportional to the degree span: a value of span m takes about
-m * k bits however few of its coefficients are nonzero.
+Memory is proportional to the degree span, the highest exponent minus the
+lowest: a value of span m takes (m + 1) * k bits however few of its
+coefficients are nonzero. So a value or an intermediate whose packed integer
+would have more than ``MAX_PACKED_BITS`` bits is refused with
+LaurentTermError before it is built: by the constructor and JSON decoding,
+by ``+``, ``-`` and ``*``, and by ``exact_div`` at a width it would try. A
+two-term input such as ``{0: 1, 10**12: 1}`` would otherwise ask for
+terabytes, and ``{0: 2**10000, 10**6: 1}``, with its 10048-bit slots, for
+more than a gigabyte.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from functools import lru_cache
 from operator import index
 
 from .errors import InexactDivisionError, LaurentTermError
 
 _new = object.__new__
+
+MAX_PACKED_BITS = 1 << 24  # 2 MB: a span of 262,143 at 64-bit slots
 
 
 def _width(bits):
@@ -49,7 +57,6 @@ def _width(bits):
     return (bits + 65) >> 6 << 6
 
 
-@lru_cache(maxsize=512)
 def _bias(n, k):
     """2^(k-1) in each of n slots of k bits."""
     return int.from_bytes((bytes(k // 8 - 1) + b"\x80") * n, "little")
@@ -59,17 +66,19 @@ def _unpack(v, k, n):
     """The n balanced base-2^k digits of v, lowest first, or None if v has none.
 
     Adding 2^(k-1) to every slot turns the digits into the unsigned base-2^k
-    digits of one nonnegative integer, so they are read off its bytes.
+    digits of one nonnegative integer. Its bytes are read as 64-bit words,
+    k / 64 of them to a digit, with no Python loop over carries.
     """
     u = v + _bias(n, k)
     if u < 0 or u >> (k * n):
         return None
-    raw = u.to_bytes(k * n // 8, "little")
+    w = k // 64
+    words = struct.unpack(f"<{n * w}Q", u.to_bytes(k * n // 8, "little"))
+    digits = words[::w]
+    for j in range(1, w):
+        digits = [d | x << (64 * j) for d, x in zip(digits, words[j::w])]
     half = 1 << (k - 1)
-    if k == 64:
-        return [x - half for x in struct.unpack(f"<{n}Q", raw)]
-    step = k // 8
-    return [int.from_bytes(raw[i:i + step], "little") - half for i in range(0, len(raw), step)]
+    return [d - half for d in digits]
 
 
 def _digits(p):
@@ -78,16 +87,20 @@ def _digits(p):
 
 def _pack(digits, k):
     half = 1 << (k - 1)
-    if k == 64:
-        raw = struct.pack(f"<{len(digits)}Q", *[c + half for c in digits])
-    else:
-        raw = b"".join((c + half).to_bytes(k // 8, "little") for c in digits)
+    raw = b"".join([(c + half).to_bytes(k // 8, "little") for c in digits])
     return int.from_bytes(raw, "little") - _bias(len(digits), k)
 
 
 def _at(p, k):
     """p's packed integer at slot width k, which is at least p's own."""
     return p._v if p._k == k else _pack(_digits(p), k)
+
+
+def _too_big(span, k):
+    return LaurentTermError(
+        f"exponent span {span} in {k}-bit slots packs into {(span + 1) * k} bits,"
+        f" above the limit of {MAX_PACKED_BITS}"
+    )
 
 
 def _make(lo, v, k, bits):
@@ -132,9 +145,11 @@ class LaurentPoly:
     """An element of Z[t, t^-1], built from a mapping exponent -> coefficient.
 
     Exponents and coefficients must be integers (``operator.index``); anything
-    else raises LaurentTermError. The one value type that is not a frozen
-    dataclass: its arithmetic builds each result's packed fields directly,
-    and its equality compares the packed form but not the ``bits`` bound.
+    else, or a value too wide to pack (``MAX_PACKED_BITS``), raises
+    LaurentTermError.
+    The one value type that is not a frozen dataclass: its arithmetic builds
+    each result's packed fields directly, and its equality compares the
+    packed form but not the ``bits`` bound.
     """
 
     __slots__ = ("_lo", "_v", "_k", "_bits")
@@ -154,10 +169,12 @@ class LaurentPoly:
         if not canon:
             self._lo, self._v, self._k, self._bits = 0, 0, 64, 0
             return
-        lo = min(canon)
-        digits = [canon.get(e, 0) for e in range(lo, max(canon) + 1)]
-        bits = max(abs(c) for c in digits).bit_length()
+        lo, hi = min(canon), max(canon)
+        bits = max(abs(c) for c in canon.values()).bit_length()
         k = _width(bits)
+        if (hi - lo + 1) * k > MAX_PACKED_BITS:
+            raise _too_big(hi - lo, k)
+        digits = [canon.get(e, 0) for e in range(lo, hi + 1)]
         self._lo, self._v, self._k, self._bits = lo, _pack(digits, k), k, bits
 
     @property
@@ -194,8 +211,12 @@ class LaurentPoly:
         if not self._v:
             return other
         a, b = (self, other) if self._lo <= other._lo else (other, self)
+        # the sum spans this many exponents, or a's own, which is no wider
+        span = b._lo - a._lo + b._v.bit_length() // b._k
         bits = max(a._bits, b._bits) + 1
         k = _width(bits)
+        if (span + 1) * k > MAX_PACKED_BITS:
+            raise _too_big(span, k)
         v = _at(a, k) + (_at(b, k) << (k * (b._lo - a._lo)))
         return _canonical(a._lo, v, k, bits)
 
@@ -214,11 +235,13 @@ class LaurentPoly:
         if not v1 or not v2:
             return ZERO
         lo = self._lo + other._lo
-        shorter = min(v1.bit_length() // self._k, v2.bit_length() // other._k)
-        bits = self._bits + other._bits + shorter.bit_length()
-        if bits <= 62:
-            return _make(lo, v1 * v2, 64, bits)
+        span1, span2 = v1.bit_length() // self._k, v2.bit_length() // other._k
+        bits = self._bits + other._bits + min(span1, span2).bit_length()
         k = _width(bits)
+        if (span1 + span2 + 1) * k > MAX_PACKED_BITS:
+            raise _too_big(span1 + span2, k)
+        if k == 64:
+            return _make(lo, v1 * v2, 64, bits)
         return _canonical(lo, _at(self, k) * _at(other, k), k, bits)
 
     def __pow__(self, k):
@@ -252,11 +275,13 @@ class LaurentPoly:
         the quotient.
 
         The test is made first at the operands' own width, 64 bits for any
-        coefficients below 2^62. If it fails there, the division is redone at
-        a width where a true quotient must pass: by the Landau-Mignotte bound,
-        every coefficient of an exact quotient has |q_i| <= 2^deg(Q) * ||A||_2,
-        and ||A||_2 <= sqrt(#digits(A)) * 2^bits(A). Failing at that width
-        proves the division inexact.
+        coefficients below 2^62. While it fails, the division is redone at
+        twice the width, up to a width where a true quotient must pass: by
+        the Landau-Mignotte bound, every coefficient of an exact quotient has
+        |q_i| <= 2^deg(Q) * ||A||_2, and ||A||_2 <= sqrt(#digits(A)) *
+        2^bits(A). Failing at that width proves the division inexact. A width
+        at which A would pack into more than MAX_PACKED_BITS bits raises
+        LaurentTermError instead.
         """
         if not isinstance(other, LaurentPoly):
             raise TypeError(f"cannot divide a LaurentPoly by {type(other).__name__}")
@@ -270,9 +295,11 @@ class LaurentPoly:
         if nq > 0:
             spread = (min(nq, nd) - 1).bit_length()
             bound = nq - 1 + self._bits + ((na - 1).bit_length() + 1) // 2
-            own = max(self._k, other._k)
-            wide = max(own, _width(bound + other._bits + spread))
-            for k in (own, wide) if wide > own else (own,):
+            k = max(self._k, other._k)
+            last = max(k, _width(bound + other._bits + spread))
+            while True:
+                if na * k > MAX_PACKED_BITS:
+                    raise _too_big(na - 1, k)
                 q, r = divmod(_at(self, k), _at(other, k))
                 if r:
                     break
@@ -281,6 +308,9 @@ class LaurentPoly:
                     bits = max(max(digits), -min(digits)).bit_length()
                     if bits + other._bits + spread <= k - 2:
                         return _canonical(self._lo - other._lo, q, k, bits)
+                if k == last:
+                    break
+                k = min(2 * k, last)
         raise InexactDivisionError(f"{self} is not divisible by {other}")
 
     def __str__(self):
@@ -300,6 +330,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj):
+        """Decode to_json_obj's form. A term that is not an integer, or a value
+        too wide to pack (MAX_PACKED_BITS), raises LaurentTermError."""
         return cls({_json_int(e): _json_int(c) for e, c in obj.items()})
 
     def to_json(self):
@@ -307,6 +339,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, text):
+        """Decode to_json's text; bad terms raise as in from_json_obj."""
         return cls.from_json_obj(json.loads(text))
 
 

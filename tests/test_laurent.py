@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbraid.errors import InexactDivisionError, LaurentTermError
-from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
+from vbraid.laurent import MAX_PACKED_BITS, ONE, T, T_INV, ZERO, LaurentPoly
 
 
 def poly(d):
@@ -286,3 +286,40 @@ def test_exact_div_quotient_larger_than_dividend():
     assert a.exact_div(d) == q
     with pytest.raises(InexactDivisionError):
         (a + ONE).exact_div(d)
+
+
+def test_value_too_wide_to_pack_is_refused_before_building():
+    """A sparse input, sum or product whose packed integer would pass
+    MAX_PACKED_BITS raises instead of packing one slot per exponent of its
+    span."""
+    span = MAX_PACKED_BITS // 64 - 1  # the widest span at 64-bit slots
+    far = T ** 10**12
+    assert far.terms == {10**12: 1}
+    widest = ONE + T**span
+    assert widest - T**span == ONE
+    assert (widest * (ONE + ONE)).exact_div(ONE + ONE) == widest
+    assert widest * T == T + T ** (span + 1)
+    for build in (
+        lambda: LaurentPoly.from_json_obj({"0": "1", "1000000000000": "1"}),
+        lambda: LaurentPoly.from_json('{"0": "1", "262144": "-3"}'),
+        lambda: LaurentPoly({0: 2**62, span // 2 + 1: 1}),
+        lambda: ONE + far,
+        lambda: far - ONE,
+        lambda: widest + T_INV,
+        lambda: widest * (ONE + T),
+        lambda: widest * LaurentPoly({0: 2**62}),
+    ):
+        with pytest.raises(LaurentTermError, match="packs into"):
+            build()
+
+
+def test_exact_div_widens_within_the_packing_limit():
+    """A quotient too big for the dividend's slots is found at a doubled width,
+    far below the Landau-Mignotte width that would pass MAX_PACKED_BITS at
+    this span; an inexact division that divides as packed integers at every
+    width up to the limit raises LaurentTermError."""
+    q = LaurentPoly({e: 2**40 + e for e in range(5000)})
+    d = ONE + LaurentPoly({1: 2**20})
+    assert (q * d).exact_div(d) == q
+    with pytest.raises(LaurentTermError, match="packs into"):
+        LaurentPoly({0: 2, 1: 1, 5000: 1}).exact_div(LaurentPoly({0: 2}))
