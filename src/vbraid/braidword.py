@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
+from operator import index
 from typing import Optional
 
 from .errors import (
@@ -69,11 +70,17 @@ class Letter:
     def __post_init__(self):
         if self.kind not in ("s", "z", "a"):
             raise LetterError(f"unknown letter kind {self.kind!r}")
-        if self.index < 1:
-            raise LetterError(f"letter index must be >= 1, got {self.index}")
-        if self.exponent not in (1, -1):
-            raise LetterError(f"letter exponent must be +-1, got {self.exponent}")
-        if self.kind == "z" and self.exponent != 1:
+        try:  # checked, not converted: an integer-like value equals and hashes as its int
+            i, e = index(self.index), index(self.exponent)
+        except TypeError:
+            raise LetterError(
+                f"letter index and exponent must be integers: {self.index!r}, {self.exponent!r}"
+            ) from None
+        if i < 1:
+            raise LetterError(f"letter index must be >= 1, got {i}")
+        if e not in (1, -1):
+            raise LetterError(f"letter exponent must be +-1, got {e}")
+        if self.kind == "z" and e != 1:
             raise LetterError("z letters are involutions; exponent must be +1")
 
     def inverse(self):
@@ -109,6 +116,10 @@ class GroupWord:
 
     def __post_init__(self):
         flavor = Flavor(self.flavor)
+        try:
+            n = index(self.n)
+        except TypeError:
+            raise StrandCountError(f"strand count must be an integer, got {self.n!r}") from None
         letters = tuple(self.letters)
         allowed = _ALLOWED_KINDS[flavor]
         for pos, lt in enumerate(letters):
@@ -116,17 +127,18 @@ class GroupWord:
                 raise LetterNotAllowedError(
                     f"letter kind {lt.kind!r} not allowed in flavor {flavor.value}", pos
                 )
-            if lt.index > self.n - 1:
+            if lt.index > n - 1:
                 raise IndexOutOfRangeError(
-                    f"letter index {lt.index} out of range for n={self.n} strands", pos
+                    f"letter index {lt.index} out of range for n={n} strands", pos
                 )
             if flavor is Flavor.SB and lt.kind == "a" and lt.exponent != 1:
                 raise InverseNotAllowedError(
                     "a letters have no inverses in the monoid flavor", pos
                 )
-        if self.n < 0:  # checked last, so a nonempty word reports its first letter
-            raise StrandCountError(f"strand count must be nonnegative, got {self.n}")
+        if n < 0:  # checked last, so a nonempty word reports its first letter
+            raise StrandCountError(f"strand count must be nonnegative, got {n}")
         object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
     def __len__(self):

@@ -10,6 +10,7 @@ by the images of the generators x_1..x_n; composition follows the same
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import LetterError, SizeMismatchError
 
@@ -32,8 +33,12 @@ class FreeWord:
 
     def __post_init__(self):
         checked = []
-        for gen, exp in self.letters:
-            gen, exp = int(gen), int(exp)
+        for letter in self.letters:
+            try:
+                gen, exp = letter
+                gen, exp = index(gen), index(exp)
+            except (TypeError, ValueError):
+                raise LetterError(f"free-group letter {letter!r} is not two integers") from None
             if gen < 1 or exp not in (1, -1):
                 raise LetterError(f"bad free-group letter ({gen}, {exp})")
             checked.append((gen, exp))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 
 from .braidword import GroupWord
 from .errors import GaussSyntaxError, LabelCountError, NotAKnotError
@@ -23,37 +24,41 @@ OVER = "O"
 UNDER = "U"
 
 
+def _first_visit(visits):
+    """The visits with their labels renumbered 1, 2, ... in order of first appearance."""
+    numbers = {}
+    return tuple((p, numbers.setdefault(label, len(numbers) + 1)) for p, label in visits)
+
+
 @dataclass(frozen=True, slots=True)
 class GaussCode:
-    """Sequence of (passage, label) visits; labels canonical in first-visit order."""
+    """Sequence of (passage, label) visits, checked in one pass: each visit is an
+    O or U passage with an integer label (else GaussSyntaxError), and each label
+    appears once as O and once as U, numbered 1, 2, ... in first-visit order
+    (else LabelCountError)."""
 
     visits: tuple  # tuple of (passage in {"O", "U"}, label int)
 
     def __post_init__(self):
-        object.__setattr__(self, "visits", tuple(self.visits))
-        over = {}
-        under = {}
-        for passage, label in self.visits:
-            if passage not in (OVER, UNDER):
-                raise GaussSyntaxError(f"bad passage {passage!r}")
-            bucket = over if passage == OVER else under
-            bucket[label] = bucket.get(label, 0) + 1
-        labels = set(over) | set(under)
-        for label in labels:
-            if over.get(label, 0) != 1 or under.get(label, 0) != 1:
-                raise LabelCountError(
-                    f"label {label} must appear exactly once as O and once as U"
-                )
-        k = len(labels)
-        if labels and labels != set(range(1, k + 1)):
-            raise LabelCountError(f"labels must be 1..{k}")
-        # canonical form: labels numbered in first-visit order
-        order = []
-        for _, label in self.visits:
-            if label not in order:
-                order.append(label)
-        if order != sorted(order):
-            raise LabelCountError("labels must be numbered in first-visit order")
+        seen = {OVER: set(), UNDER: set()}
+        visits = []
+        for visit in self.visits:
+            try:
+                passage, label = visit
+                label, labels = index(label), seen[passage]
+            except (TypeError, ValueError, KeyError):
+                raise GaussSyntaxError(f"bad visit {visit!r}: want (O or U, integer)") from None
+            if label in labels:
+                raise LabelCountError(f"label {label} appears twice as {passage}")
+            labels.add(label)
+            visits.append((passage, label))
+        if seen[OVER] != seen[UNDER]:
+            label = min(seen[OVER] ^ seen[UNDER])
+            raise LabelCountError(f"label {label} must appear exactly once as O and once as U")
+        visits = tuple(visits)
+        if visits != _first_visit(visits):
+            raise LabelCountError("labels must be numbered 1, 2, ... in first-visit order")
+        object.__setattr__(self, "visits", visits)
 
     @property
     def crossings(self):
@@ -64,18 +69,8 @@ class GaussCode:
 
     def rotations(self):
         """All cyclic rotations, each relabeled to canonical form."""
-        k = len(self.visits)
-        out = []
-        for start in range(max(k, 1)):
-            rotated = self.visits[start:] + self.visits[:start]
-            relabel = {}
-            canon = []
-            for passage, label in rotated:
-                if label not in relabel:
-                    relabel[label] = len(relabel) + 1
-                canon.append((passage, relabel[label]))
-            out.append(GaussCode(tuple(canon)))
-        return out
+        v = self.visits
+        return [GaussCode(_first_visit(v[i:] + v[:i])) for i in range(max(len(v), 1))]
 
     def equals_up_to_rotation(self, other) -> bool:
         return other in self.rotations()
@@ -119,8 +114,7 @@ def closure_code(w: GroupWord) -> GaussCode:
         after[step] = (first[i], first[i + 1])
         first[i] = first[i + 1] = step
 
-    labels = {}  # crossing, identified by its letter index in the word -> label
-    visits = []
+    visits = []  # each crossing labelled by its step in the word until renumbered
     pos = 1
     step = first[pos]
     passes = 0
@@ -134,11 +128,9 @@ def closure_code(w: GroupWord) -> GaussCode:
         lt = letters[step]
         i = lt.index
         if lt.kind == "s":
-            if step not in labels:
-                labels[step] = len(labels) + 1
             entering_low = pos == i
             over = entering_low if lt.exponent == 1 else not entering_low
-            visits.append((OVER if over else UNDER, labels[step]))
+            visits.append((OVER if over else UNDER, step))
         pos = i + 1 if pos == i else i
         step = after[step][pos - i]
-    return GaussCode(tuple(visits))
+    return GaussCode(_first_visit(visits))

@@ -9,6 +9,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import PermutationError
 
@@ -20,7 +21,12 @@ class Permutation:
     images: tuple
 
     def __post_init__(self):
-        imgs = tuple(int(x) for x in self.images)
+        try:
+            imgs = tuple(index(x) for x in self.images)
+        except TypeError:
+            raise PermutationError(
+                f"images must be a sequence of integers, got {self.images!r}"
+            ) from None
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise PermutationError(f"not a bijection of 1..{n}: {imgs}")

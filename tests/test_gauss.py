@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbraid.braidword import GroupWord, Letter, parse_word
 from vbraid.errors import (
@@ -52,6 +54,24 @@ class TestParse:
     def test_labels_must_follow_first_visit_order(self):
         with pytest.raises(LabelCountError):
             parse_gauss("O2U1O1U2")
+
+    @pytest.mark.parametrize(
+        "visits",
+        [
+            "O1U1",  # a string, so each visit is one character
+            [("O",)],
+            [("O", 1, 2), ("U", 1, 2)],
+            [("O", 1.0), ("U", 1.0)],
+            [("O", "1"), ("U", "1")],
+            [("O", None), ("U", None)],
+            [("X", 1), ("U", 1)],
+        ],
+        ids=repr,
+    )
+    def test_malformed_visit_is_a_syntax_error(self, visits):
+        with pytest.raises(GaussSyntaxError) as info:
+            GaussCode(visits)
+        assert type(info.value) is GaussSyntaxError
 
     def test_render_round_trip(self):
         text = "O1U2O3U1O2U3"
@@ -171,3 +191,91 @@ def test_closure_code_matches_strand_by_strand_walk():
         for _ in range(8):
             w = random_knot_word(rng, n, rng.randrange(0, 40))
             assert closure_code(w) == walk_closure_code(w), (n, str(w))
+
+
+def first_written_check(visits):
+    """GaussCode's validation as first written: label counts, then labels 1..k,
+    then first-visit order checked on a list, O(k^2)."""
+    over = {}
+    under = {}
+    for passage, label in visits:
+        if passage not in (OVER, UNDER):
+            raise GaussSyntaxError(f"bad passage {passage!r}")
+        bucket = over if passage == OVER else under
+        bucket[label] = bucket.get(label, 0) + 1
+    labels = set(over) | set(under)
+    for label in labels:
+        if over.get(label, 0) != 1 or under.get(label, 0) != 1:
+            raise LabelCountError(f"label {label} must appear exactly once as O and once as U")
+    k = len(labels)
+    if labels and labels != set(range(1, k + 1)):
+        raise LabelCountError(f"labels must be 1..{k}")
+    order = []
+    for _, label in visits:
+        if label not in order:
+            order.append(label)
+    if order != sorted(order):
+        raise LabelCountError("labels must be numbered in first-visit order")
+
+
+def rejection(check, visits):
+    """The class of GaussSyntaxError `check` raises on `visits`, or None."""
+    try:
+        check(visits)
+    except GaussSyntaxError as err:
+        return type(err)
+    return None
+
+
+@st.composite
+def mutated_closure_codes(draw):
+    """Visits of a random knot's closure code, then at most one mutation."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    w = random_knot_word(rng, draw(st.integers(2, 8)), draw(st.integers(0, 10)))
+    visits = list(closure_code(w).visits)
+    mutation = draw(st.sampled_from(("none", "swap", "relabel", "flip", "drop", "rotate")))
+    if not visits or mutation == "none":
+        return tuple(visits)
+    i, j = (draw(st.integers(0, len(visits) - 1)) for _ in range(2))
+    passage, label = visits[i]
+    if mutation == "swap":
+        visits[i], visits[j] = visits[j], visits[i]
+    elif mutation == "relabel":
+        visits[i] = (passage, draw(st.integers(0, len(visits) // 2 + 1)))
+    elif mutation == "flip":
+        visits[i] = (UNDER if passage == OVER else OVER, label)
+    elif mutation == "drop":
+        del visits[i]
+    else:  # rotate, keeping the old labels
+        visits = visits[i:] + visits[:i]
+    return tuple(visits)
+
+
+small_visit_lists = st.lists(
+    st.tuples(st.sampled_from((OVER, UNDER)), st.integers(0, 4)), max_size=8
+).map(tuple)
+
+
+@settings(max_examples=400)
+@given(st.one_of(mutated_closure_codes(), small_visit_lists))
+def test_validation_agrees_with_first_written_check(visits):
+    expected = rejection(first_written_check, visits)
+    assert rejection(GaussCode, visits) is expected
+    if expected is None:
+        assert GaussCode(visits).visits == visits
+
+
+def test_rotations_of_closure_codes_are_canonical_and_equivalent():
+    rng = random.Random(23)
+    for n in (2, 3, 5, 8, 13, 20, 40):
+        for _ in range(3):
+            code = closure_code(random_knot_word(rng, n, rng.randrange(0, 25)))
+            rotations = code.rotations()
+            assert len(rotations) == max(len(code.visits), 1)
+            assert rotations[0] == code
+            for rot in rotations:
+                assert rejection(first_written_check, rot.visits) is None
+            # each call builds every rotation, so check a few in both directions
+            for rot in rng.sample(rotations, min(3, len(rotations))):
+                assert code.equals_up_to_rotation(rot)
+                assert rot.equals_up_to_rotation(code)

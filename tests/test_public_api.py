@@ -96,6 +96,32 @@ def test_typed_value_errors_are_value_errors():
         assert issubclass(cls, vbraid.VbraidError) and issubclass(cls, ValueError)
 
 
+# each: the type, its constructor's arguments, the error they must raise
+NON_INTEGER_FIELDS = [
+    ("Permutation", ([1.5, 2],), "PermutationError"),
+    ("Permutation", (["a"],), "PermutationError"),
+    ("Permutation", (["1", "2"],), "PermutationError"),
+    ("FreeWord", ([(1.5, 1)],), "LetterError"),
+    ("FreeWord", ([("x", 1)],), "LetterError"),
+    ("FreeWord", ([(1,)],), "LetterError"),
+    ("Letter", ("s", 1.5), "LetterError"),
+    ("Letter", ("s", "1"), "LetterError"),
+    ("Letter", ("s", 1, -1.0), "LetterError"),
+    ("GroupWord", ("vb", 2.5), "StrandCountError"),
+    ("GroupWord", ("vb", "3"), "StrandCountError"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, error",
+    NON_INTEGER_FIELDS,
+    ids=[f"{name}({', '.join(map(repr, args))})" for name, args, _ in NON_INTEGER_FIELDS],
+)
+def test_integer_fields_refuse_non_integers(name, args, error):
+    with pytest.raises(getattr(vbraid, error)):
+        getattr(vbraid, name)(*args)
+
+
 def _word():
     return vbraid.parse_word("s1 z2 s2^-1", "vb", 3)
 
