@@ -41,6 +41,7 @@ from .errors import (
     NotAKnotError,
     ParityError,
     PermutationError,
+    ShapeError,
     SizeMismatchError,
     StrandCountError,
     UnknownFlavorError,

@@ -25,6 +25,7 @@ from .errors import (
     LetterNotAllowedError,
     MonoidHasNoInversesError,
     NegativeDepthError,
+    ShapeError,
     SizeMismatchError,
     StrandCountError,
     UnknownFlavorError,
@@ -120,9 +121,14 @@ class GroupWord:
             n = index(self.n)
         except TypeError:
             raise StrandCountError(f"strand count must be an integer, got {self.n!r}") from None
-        letters = tuple(self.letters)
+        try:
+            letters = tuple(self.letters)
+        except TypeError:
+            raise ShapeError(f"letters must be a sequence, got {self.letters!r}") from None
         allowed = _ALLOWED_KINDS[flavor]
         for pos, lt in enumerate(letters):
+            if not isinstance(lt, Letter):
+                raise ShapeError(f"letter {lt!r} at position {pos} is not a Letter")
             if lt.kind not in allowed:
                 raise LetterNotAllowedError(
                     f"letter kind {lt.kind!r} not allowed in flavor {flavor.value}", pos
@@ -242,78 +248,83 @@ def relators(flavor, n: int) -> Presentation:
         )
 
     allowed = _ALLOWED_KINDS[flavor]
+    # each generator letter is built once and shared by every relator
+    s, s_inv, z, a, a_inv = (
+        {i: Letter(kind, i, e) for i in range(1, n)}
+        for kind, e in (("s", 1), ("s", -1), ("z", 1), ("a", 1), ("a", -1))
+    )
 
     if "z" in allowed:
         for i in range(1, n):
-            add(f"zeta_sq:i={i}", [Z(i), Z(i)], [])
+            add(f"zeta_sq:i={i}", [z[i], z[i]], [])
         for i in range(1, n):
             for j in range(i + 2, n):
-                add(f"zeta_comm:i={i},j={j}", [Z(i), Z(j)], [Z(j), Z(i)])
+                add(f"zeta_comm:i={i},j={j}", [z[i], z[j]], [z[j], z[i]])
         for i in range(1, n - 1):
             add(
                 f"zeta_braid:i={i}",
-                [Z(i), Z(i + 1), Z(i)],
-                [Z(i + 1), Z(i), Z(i + 1)],
+                [z[i], z[i + 1], z[i]],
+                [z[i + 1], z[i], z[i + 1]],
             )
 
     if "s" in allowed:
         for i in range(1, n):
             for j in range(i + 2, n):
-                add(f"sigma_comm:i={i},j={j}", [S(i), S(j)], [S(j), S(i)])
+                add(f"sigma_comm:i={i},j={j}", [s[i], s[j]], [s[j], s[i]])
         for i in range(1, n - 1):
             add(
                 f"sigma_braid:i={i}",
-                [S(i), S(i + 1), S(i)],
-                [S(i + 1), S(i), S(i + 1)],
+                [s[i], s[i + 1], s[i]],
+                [s[i + 1], s[i], s[i + 1]],
             )
 
     if flavor in (Flavor.VB, Flavor.BP):
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) > 1:
-                    add(f"mixed_comm:i={i},j={j}", [S(i), Z(j)], [Z(j), S(i)])
+                    add(f"mixed_comm:i={i},j={j}", [s[i], z[j]], [z[j], s[i]])
         for i in range(1, n - 1):
             add(
                 f"mixed_zzs:i={i}",
-                [Z(i), Z(i + 1), S(i)],
-                [S(i + 1), Z(i), Z(i + 1)],
+                [z[i], z[i + 1], s[i]],
+                [s[i + 1], z[i], z[i + 1]],
             )
     if flavor is Flavor.BP:
         for i in range(1, n - 1):
             add(
                 f"mixed_ssz:i={i}",
-                [S(i), S(i + 1), Z(i)],
-                [Z(i + 1), S(i), S(i + 1)],
+                [s[i], s[i + 1], z[i]],
+                [z[i + 1], s[i], s[i + 1]],
             )
 
     if "a" in allowed:
         for i in range(1, n):
             for j in range(i + 2, n):
-                add(f"a_comm:i={i},j={j}", [A(i), A(j)], [A(j), A(i)])
+                add(f"a_comm:i={i},j={j}", [a[i], a[j]], [a[j], a[i]])
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) != 1:
-                    add(f"as_comm:i={i},j={j}", [A(i), S(j)], [S(j), A(i)])
+                    add(f"as_comm:i={i},j={j}", [a[i], s[j]], [s[j], a[i]])
         for i in range(1, n - 1):
             add(
                 f"ssa:i={i}",
-                [S(i), S(i + 1), A(i)],
-                [A(i + 1), S(i), S(i + 1)],
+                [s[i], s[i + 1], a[i]],
+                [a[i + 1], s[i], s[i + 1]],
             )
             add(
                 f"ssa_rev:i={i}",
-                [S(i + 1), S(i), A(i + 1)],
-                [A(i), S(i + 1), S(i)],
+                [s[i + 1], s[i], a[i + 1]],
+                [a[i], s[i + 1], s[i]],
             )
         # sigma^-1 is a presentation generator of the monoid, so its
         # inverse relations are genuine relators here
         for i in range(1, n):
-            add(f"sigma_inv_r:i={i}", [S(i), S(i, -1)], [])
-            add(f"sigma_inv_l:i={i}", [S(i, -1), S(i)], [])
+            add(f"sigma_inv_r:i={i}", [s[i], s_inv[i]], [])
+            add(f"sigma_inv_l:i={i}", [s_inv[i], s[i]], [])
         if flavor is Flavor.SG:
             for i in range(1, n):
-                add(f"a_inv_r:i={i}", [A(i), A(i, -1)], [])
-                add(f"a_inv_l:i={i}", [A(i, -1), A(i)], [])
+                add(f"a_inv_r:i={i}", [a[i], a_inv[i]], [])
+                add(f"a_inv_l:i={i}", [a_inv[i], a[i]], [])
 
     return Presentation(flavor, n, tuple(rels))
 

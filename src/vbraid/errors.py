@@ -98,3 +98,9 @@ class InexactDivisionError(VbraidError, ValueError):
 class LaurentTermError(VbraidError, ValueError):
     """A Laurent polynomial term whose exponent or coefficient is not an integer,
     or a polynomial too wide to pack into ``laurent.MAX_PACKED_BITS`` bits."""
+
+
+class ShapeError(VbraidError, TypeError):
+    """A value type given a container, or an element of one, of the wrong type:
+    a word's letters not ``Letter``s, a matrix entry not a ``LaurentPoly``, an
+    image not a ``FreeWord``, or a non-iterable where a sequence is expected."""

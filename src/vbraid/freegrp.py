@@ -10,9 +10,11 @@ by the images of the generators x_1..x_n; composition follows the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import attrgetter, index, itemgetter
 
-from .errors import LetterError, SizeMismatchError
+from .errors import LetterError, ShapeError, SizeMismatchError
 
 
 def _reduce(letters):
@@ -32,8 +34,12 @@ class FreeWord:
     letters: tuple = ()  # tuple of (generator index, exponent)
 
     def __post_init__(self):
+        try:
+            letters = iter(self.letters)
+        except TypeError:
+            raise ShapeError(f"free-group letters must be a sequence, got {self.letters!r}") from None
         checked = []
-        for letter in self.letters:
+        for letter in letters:
             try:
                 gen, exp = letter
                 gen, exp = index(gen), index(exp)
@@ -59,14 +65,10 @@ class FreeWord:
                 letters.pop()
             else:
                 letters.append((gen, exp))
-        out = FreeWord.__new__(FreeWord)
-        object.__setattr__(out, "letters", tuple(letters))
-        return out
+        return _trusted_word(tuple(letters))
 
     def inverse(self):
-        out = FreeWord.__new__(FreeWord)
-        object.__setattr__(out, "letters", tuple((g, -e) for g, e in reversed(self.letters)))
-        return out
+        return _trusted_word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def max_generator(self):
         return max((g for g, _ in self.letters), default=0)
@@ -80,6 +82,21 @@ class FreeWord:
         return f"FreeWord({list(self.letters)})"
 
 
+def _trusted_word(letters):
+    """The FreeWord of `letters`, a tuple of (generator, +-1) pairs that is already
+    freely reduced; it skips the constructor's checks, so only this module calls it."""
+    out = object.__new__(FreeWord)
+    object.__setattr__(out, "letters", letters)
+    return out
+
+
+@lru_cache(maxsize=64)
+def identity_images(n):
+    """The images x_1, ..., x_n of the identity of F_n, built once per n and shared
+    (a FreeWord is immutable)."""
+    return tuple(_trusted_word(((i, 1),)) for i in range(1, n + 1))
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class FreeAut:
     """An endomorphism of F_n given by generator images (here always invertible)."""
@@ -88,12 +105,17 @@ class FreeAut:
     images: tuple  # tuple of FreeWord
 
     def __post_init__(self):
-        images = tuple(self.images)
+        try:
+            images = tuple(self.images)
+        except TypeError:
+            raise ShapeError(f"images must be a sequence, got {self.images!r}") from None
+        if not all(map(isinstance, images, repeat(FreeWord))):
+            raise ShapeError("images must be FreeWords")
         if len(images) != self.n:
             raise SizeMismatchError(f"expected {self.n} images, got {len(images)}")
-        for img in images:
-            if img.max_generator() > self.n:
-                raise SizeMismatchError("image mentions a generator beyond the rank")
+        letters = chain.from_iterable(map(attrgetter("letters"), images))
+        if max(map(itemgetter(0), letters), default=0) > self.n:
+            raise SizeMismatchError("image mentions a generator beyond the rank")
         object.__setattr__(self, "images", images)
 
     def is_identity(self):
@@ -118,9 +140,7 @@ def aut_apply(f: FreeAut, w: FreeWord) -> FreeWord:
     for gen, exp in w.letters:
         img = f.images[gen - 1]
         letters += (img if exp == 1 else img.inverse()).letters
-    out = FreeWord.__new__(FreeWord)
-    object.__setattr__(out, "letters", _reduce(letters))
-    return out
+    return _trusted_word(_reduce(letters))
 
 
 def aut_compose(f: FreeAut, g: FreeAut) -> FreeAut:

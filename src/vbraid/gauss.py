@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import index
 
 from .braidword import GroupWord
-from .errors import GaussSyntaxError, LabelCountError, NotAKnotError
+from .errors import GaussSyntaxError, LabelCountError, NotAKnotError, ShapeError
 from .perm import p_is_cycle
 from .reps import perm_proj
 
@@ -40,9 +40,13 @@ class GaussCode:
     visits: tuple  # tuple of (passage in {"O", "U"}, label int)
 
     def __post_init__(self):
+        try:
+            given = iter(self.visits)
+        except TypeError:
+            raise ShapeError(f"visits must be a sequence, got {self.visits!r}") from None
         seen = {OVER: set(), UNDER: set()}
         visits = []
-        for visit in self.visits:
+        for visit in given:
             try:
                 passage, label = visit
                 label, labels = index(label), seen[passage]

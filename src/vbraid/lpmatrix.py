@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, repeat
 
-from .errors import DimensionMismatchError, NonUnitDeterminantError
+from .errors import DimensionMismatchError, NonUnitDeterminantError, ShapeError
 from .laurent import ONE, ZERO, LaurentPoly
 
 
@@ -22,20 +24,21 @@ class LPMatrix:
     n: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
+        try:
+            rows = tuple(map(tuple, self.entries))
+        except TypeError:
+            raise ShapeError("matrix entries must be a sequence of rows") from None
         n = len(rows)
-        if any(len(row) != n for row in rows):
+        if not set(map(len, rows)) <= {n}:
             raise DimensionMismatchError("matrix must be square")
-        for row in rows:
-            for e in row:
-                if not isinstance(e, LaurentPoly):
-                    raise TypeError("entries must be LaurentPoly")
+        if not all(map(isinstance, chain.from_iterable(rows), repeat(LaurentPoly))):
+            raise ShapeError("entries must be LaurentPoly")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", rows)
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls(identity_rows(n))
 
     def __repr__(self):
         return f"LPMatrix({[[str(e) for e in row] for row in self.entries]})"
@@ -60,6 +63,12 @@ class LPMatrix:
     @classmethod
     def from_json(cls, text):
         return cls.from_json_obj(json.loads(text))
+
+
+@lru_cache(maxsize=64)
+def identity_rows(n):
+    """The rows of the n x n identity matrix, built once per n and shared."""
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: LPMatrix, b: LPMatrix) -> LPMatrix:
@@ -131,10 +140,7 @@ def mat_inverse(a: LPMatrix) -> LPMatrix:
     block, which is then multiplied by det(A)^-1.
     """
     n = a.n
-    rows = [
-        list(row) + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(a.entries)
-    ]
+    rows = [[*row, *unit] for row, unit in zip(a.entries, identity_rows(n))]
     det = _bareiss(rows, jordan=True)
     unit = det.is_unit()
     if unit is None:

@@ -22,7 +22,7 @@ class Permutation:
 
     def __post_init__(self):
         try:
-            imgs = tuple(index(x) for x in self.images)
+            imgs = tuple(map(index, self.images))
         except TypeError:
             raise PermutationError(
                 f"images must be a sequence of integers, got {self.images!r}"

@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass
 
 from .braidword import Flavor, GroupWord
 from .errors import FlavorError, ParityError
-from .freegrp import FreeAut, FreeWord
+from .freegrp import FreeAut, identity_images
 from .laurent import ONE, T, T_INV, ZERO
-from .lpmatrix import LPMatrix
+from .lpmatrix import LPMatrix, identity_rows
 from .perm import Permutation
 
 _REP_FLAVORS = frozenset({Flavor.BR, Flavor.SYM, Flavor.VB, Flavor.BP})
@@ -51,29 +51,56 @@ _ONE_MINUS_T = ONE - T
 _ONE_MINUS_TINV = ONE - T_INV
 
 
+def _combine(a, ra, b, rb):
+    """The sparse row a*ra + b*rb: only nonzero entries are multiplied or kept."""
+    out = {c: a * e for c, e in ra.items()}
+    for c, e in rb.items():
+        if c in out:
+            e = out[c] + b * e
+            if not e:  # the two terms cancel
+                del out[c]
+                continue
+        else:
+            e = b * e
+        out[c] = e
+    return out
+
+
 def burau(w: GroupWord) -> LPMatrix:
     """Burau image of a word: the product M(lk) ... M(l1) of generator matrices.
 
-    Each generator matrix is the identity outside one 2x2 block, so the
-    product is built by in-place row updates instead of full products.
+    Each generator matrix is the identity outside one 2x2 block, so a letter
+    at index i rewrites only rows i and i+1. Only the rows the word touches
+    are kept, each as a sparse {column: nonzero entry} map, and only their
+    nonzero entries are combined; every other row stays an identity row,
+    shared from `identity_rows`. The cost is O(letters x touched entries)
+    plus one O(n^2) copy into the result.
     """
     _require_rep_flavor(w)
-    n = w.n
-    rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    # row -> {column: nonzero entry} for each touched row; a row not here is
+    # identity row r, {r: ONE}. A touched row is never empty (the matrix is
+    # invertible), so `or` tells the two apart.
+    touched = {}
     for lt in w.letters:
         i = lt.index - 1
-        ri, rj = rows[i], rows[i + 1]
+        ri = touched.get(i) or {i: ONE}
+        rj = touched.get(i + 1) or {i + 1: ONE}
         if lt.kind == "z":
-            rows[i], rows[i + 1] = rj, ri
+            touched[i], touched[i + 1] = rj, ri
         elif lt.exponent == 1:
             # left-multiply by the s_i block: new row_i = (1-t) r_i + t r_j,
             # new row_{i+1} = r_i
-            rows[i] = [_ONE_MINUS_T * a + T * b for a, b in zip(ri, rj)]
-            rows[i + 1] = ri
+            touched[i], touched[i + 1] = _combine(_ONE_MINUS_T, ri, T, rj), ri
         else:
             # inverse block [[0, 1], [t^-1, 1 - t^-1]]
-            rows[i] = rj
-            rows[i + 1] = [T_INV * a + _ONE_MINUS_TINV * b for a, b in zip(ri, rj)]
+            touched[i], touched[i + 1] = rj, _combine(T_INV, ri, _ONE_MINUS_TINV, rj)
+    rows = list(identity_rows(w.n))
+    zeros = [ZERO] * w.n
+    for r, entries in touched.items():
+        row = zeros.copy()
+        for c, e in entries.items():
+            row[c] = e
+        rows[r] = row
     return LPMatrix(rows)
 
 
@@ -82,10 +109,13 @@ def aut_rep(w: GroupWord) -> FreeAut:
 
     Built from the right as acc = acc o rho(l) for l = lk, ..., l1: a letter
     at index i changes only the images a, b of x_i, x_{i+1}, to (b, a) for
-    z_i, (b, b^-1 a b) for s_i and (a b a^-1, a) for s_i^-1.
+    z_i, (b, b^-1 a b) for s_i and (a b a^-1, a) for s_i^-1. It starts from
+    the identity images, built once per n and shared (a FreeWord is
+    immutable), so the cost is that of the images the word touches plus one
+    O(n) copy and the FreeAut check.
     """
     _require_rep_flavor(w)
-    images = [FreeWord.generator(k) for k in range(1, w.n + 1)]
+    images = list(identity_images(w.n))
     for lt in reversed(w.letters):
         i = lt.index - 1
         a, b = images[i], images[i + 1]

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from vbraid.braidword import Flavor, GroupWord, Letter
 from vbraid.errors import InexactDivisionError, SizeMismatchError
+from vbraid.freegrp import FreeAut, FreeWord, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO
-from vbraid.lpmatrix import LPMatrix
+from vbraid.lpmatrix import LPMatrix, mat_mul
 from vbraid.perm import Permutation
 
 
@@ -37,18 +38,26 @@ def make_rng(seed=0):
 
 
 @st.composite
-def rep_words(draw, flavors, max_n, max_len):
-    """Words of the flavors with representations, on 2..max_n strands."""
+def rep_words(draw, flavors, max_n, max_len, far_end=False, cancelling=False):
+    """Words of the flavors with representations, on 2..max_n strands.
+
+    With `far_end` every letter sits at the last index, n - 1; with
+    `cancelling` each drawn letter is followed by its inverse, so every row
+    and image the word touches returns to the identity.
+    """
     flavor = Flavor(draw(st.sampled_from(flavors)))
     n = draw(st.integers(2, max_n))
     kinds = {Flavor.BR: "s", Flavor.SYM: "z"}.get(flavor, "sz")
     letter = st.builds(
         lambda kind, i, e: Letter(kind, i, 1 if kind == "z" else e),
         st.sampled_from(kinds),
-        st.integers(1, n - 1),
+        st.just(n - 1) if far_end else st.integers(1, n - 1),
         st.sampled_from([1, -1]),
     )
-    return GroupWord(flavor, n, draw(st.lists(letter, max_size=max_len)))
+    letters = draw(st.lists(letter, max_size=max_len))
+    if cancelling:
+        letters = [x for lt in letters for x in (lt, lt.inverse())]
+    return GroupWord(flavor, n, letters)
 
 
 def burau_generator(letter, n):
@@ -65,6 +74,54 @@ def burau_generator(letter, n):
     m[r0][r0], m[r0][r1] = block[0]
     m[r1][r0], m[r1][r1] = block[1]
     return LPMatrix(m)
+
+
+def burau_product(w):
+    """Oracle: the Burau image as the product M(lk) ... M(l1) of generator matrices."""
+    m = LPMatrix.identity(w.n)
+    for lt in w.letters:
+        m = mat_mul(burau_generator(lt, w.n), m)
+    return m
+
+
+def dense_burau(w):
+    """Oracle: the Burau image by dense row updates of the full n x n identity,
+    every entry of both rows combined per letter, zeros included."""
+    n = w.n
+    rows = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    for lt in w.letters:
+        i = lt.index - 1
+        ri, rj = rows[i], rows[i + 1]
+        if lt.kind == "z":
+            rows[i], rows[i + 1] = rj, ri
+        elif lt.exponent == 1:
+            rows[i] = [(ONE - T) * a + T * b for a, b in zip(ri, rj)]
+            rows[i + 1] = ri
+        else:
+            rows[i] = rj
+            rows[i + 1] = [T_INV * a + (ONE - T_INV) * b for a, b in zip(ri, rj)]
+    return LPMatrix(rows)
+
+
+def aut_generator(letter, n):
+    """Oracle: the automorphism of one generator letter, from fresh generator images."""
+    images = [FreeWord.generator(k) for k in range(1, n + 1)]
+    i = letter.index
+    if letter.kind == "z":
+        images[i - 1], images[i] = FreeWord.generator(i + 1), FreeWord.generator(i)
+    elif letter.exponent == 1:
+        images[i - 1], images[i] = FreeWord.generator(i + 1), FreeWord([(i + 1, -1), (i, 1), (i + 1, 1)])
+    else:
+        images[i - 1], images[i] = FreeWord([(i, 1), (i + 1, 1), (i, -1)]), FreeWord.generator(i)
+    return FreeAut(n, images)
+
+
+def aut_product(w):
+    """Oracle: rho(lk) o ... o rho(l1), each rho(l) built from fresh generator images."""
+    f = FreeAut(w.n, [FreeWord.generator(k) for k in range(1, w.n + 1)])
+    for lt in w.letters:
+        f = aut_compose(aut_generator(lt, w.n), f)
+    return f
 
 
 def p_compose(f, g):

@@ -37,6 +37,7 @@ PUBLIC_NAMES = [
     "Presentation",
     "Relator",
     "RewriteStep",
+    "ShapeError",
     "SizeMismatchError",
     "StrandCountError",
     "UnknownFlavorError",
@@ -120,6 +121,37 @@ NON_INTEGER_FIELDS = [
 def test_integer_fields_refuse_non_integers(name, args, error):
     with pytest.raises(getattr(vbraid, error)):
         getattr(vbraid, name)(*args)
+
+
+# each: the type, and constructor arguments whose container or element has the
+# wrong type
+WRONG_SHAPES = [
+    ("GroupWord", ("vb", 3, "s1")),
+    ("GroupWord", ("vb", 3, [("s", 1)])),
+    ("GroupWord", ("vb", 3, 5)),
+    ("FreeWord", (5,)),
+    ("GaussCode", (5,)),
+    ("LPMatrix", ([[1]],)),
+    ("LPMatrix", (5,)),
+    ("FreeAut", (2, [vbraid.FreeWord(), 3])),
+    ("FreeAut", (2, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    WRONG_SHAPES,
+    ids=[f"{name}({', '.join(map(repr, args))})" for name, args in WRONG_SHAPES],
+)
+def test_wrong_shapes_raise_shape_error(name, args):
+    with pytest.raises(vbraid.ShapeError):
+        getattr(vbraid, name)(*args)
+
+
+def test_shape_error_is_a_type_error():
+    # LPMatrix raised a bare TypeError for a non-LaurentPoly entry before
+    assert issubclass(vbraid.ShapeError, vbraid.VbraidError)
+    assert issubclass(vbraid.ShapeError, TypeError)
 
 
 def _word():

@@ -1,7 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
-from conftest import burau_generator, p_compose, p_transposition, random_word, rep_words
+from conftest import (
+    aut_product,
+    burau_generator,
+    burau_product,
+    dense_burau,
+    p_compose,
+    p_transposition,
+    random_word,
+    rep_words,
+)
 from hypothesis import given, settings
 
 from vbraid.braidword import (
@@ -91,6 +101,81 @@ class TestBurauWord:
             burau(parse_word("a1", "sb", 2))
         with pytest.raises(FlavorError):
             burau(parse_word("a1", "sg", 2))
+
+
+REP_FLAVORS = ("vb", "bp", "br", "sym")
+
+
+@settings(max_examples=80, deadline=None)
+@given(rep_words(REP_FLAVORS, max_n=12, max_len=20))
+def test_burau_matches_dense_rows_and_generator_product(w):
+    m = burau(w)
+    assert m == dense_burau(w)
+    assert m == burau_product(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_words(REP_FLAVORS, max_n=12, max_len=12, far_end=True))
+def test_burau_far_end_letters(w):
+    m = burau(w)
+    assert m == dense_burau(w) == burau_product(w)
+    assert m.entries[: w.n - 2] == LPMatrix.identity(w.n).entries[: w.n - 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rep_words(REP_FLAVORS, max_n=12, max_len=8, cancelling=True))
+def test_burau_rows_cancel_back_to_identity(w):
+    assert burau(w) == dense_burau(w) == LPMatrix.identity(w.n)
+    assert aut_rep(w).is_identity()
+
+
+@pytest.mark.parametrize("flavor", REP_FLAVORS)
+def test_empty_word_images_are_identities(flavor):
+    for n in (0, 1, 2, 12):
+        w = GroupWord(flavor, n)
+        assert burau(w) == dense_burau(w) == LPMatrix.identity(n)
+        assert aut_rep(w) == aut_product(w) and aut_rep(w).is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_words(REP_FLAVORS, max_n=12, max_len=10))
+def test_aut_rep_matches_fresh_generator_product(w):
+    assert aut_rep(w) == aut_product(w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rep_words(REP_FLAVORS, max_n=12, max_len=10, far_end=True))
+def test_aut_rep_far_end_letters(w):
+    assert aut_rep(w) == aut_product(w)
+
+
+def test_work_does_not_grow_with_untouched_strands(monkeypatch):
+    """burau and aut_rep of a 3-letter word do the same work at n = 5 and n = 200:
+    the same number of Laurent products and of checked FreeWord constructions."""
+    calls = Counter()
+    mul, post_init = LaurentPoly.__mul__, FreeWord.__post_init__
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(FreeWord, "__post_init__", counting_post_init)
+    work = {}
+    for n in (5, 200):
+        w = parse_word("s2 z3 s2^-1", "vb", n)
+        calls.clear()
+        burau(w)
+        products = calls["mul"]
+        calls.clear()
+        aut_rep(w)
+        work[n] = (products, calls["post_init"])
+    assert work[5][0] > 0
+    assert work[5] == work[200]
 
 
 class TestDeterminantLaw:
