@@ -31,6 +31,7 @@ from .errors import (
     UnknownFlavorError,
     WitnessError,
     WordSyntaxError,
+    as_count,
 )
 
 
@@ -117,10 +118,7 @@ class GroupWord:
 
     def __post_init__(self):
         flavor = Flavor(self.flavor)
-        try:
-            n = index(self.n)
-        except TypeError:
-            raise StrandCountError(f"strand count must be an integer, got {self.n!r}") from None
+        n = as_count(self.n)
         try:
             letters = tuple(self.letters)
         except TypeError:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check of a count."""
+
+from operator import index
 
 
 class VbraidError(Exception):
@@ -73,6 +75,17 @@ class WitnessError(VbraidError, ValueError):
 
 class StrandCountError(VbraidError, ValueError):
     """A strand count, or a range of them, that the operation does not accept."""
+
+
+def as_count(n, what="strand count"):
+    """n as an int, for a strand count or a rank; a bool or a value that is not
+    an integer (``operator.index``) raises StrandCountError."""
+    if not isinstance(n, bool):
+        try:
+            return index(n)
+        except TypeError:
+            pass
+    raise StrandCountError(f"{what} must be an integer, got {n!r}")
 
 
 class LetterError(VbraidError, ValueError):

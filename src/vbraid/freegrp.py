@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter, index, itemgetter
 
-from .errors import LetterError, ShapeError, SizeMismatchError
+from .errors import LetterError, ShapeError, SizeMismatchError, as_count
 
 
 def _reduce(letters):
@@ -105,17 +105,19 @@ class FreeAut:
     images: tuple  # tuple of FreeWord
 
     def __post_init__(self):
+        n = as_count(self.n, "rank")
         try:
             images = tuple(self.images)
         except TypeError:
             raise ShapeError(f"images must be a sequence, got {self.images!r}") from None
         if not all(map(isinstance, images, repeat(FreeWord))):
             raise ShapeError("images must be FreeWords")
-        if len(images) != self.n:
-            raise SizeMismatchError(f"expected {self.n} images, got {len(images)}")
+        if len(images) != n:
+            raise SizeMismatchError(f"expected {n} images, got {len(images)}")
         letters = chain.from_iterable(map(attrgetter("letters"), images))
-        if max(map(itemgetter(0), letters), default=0) > self.n:
+        if max(map(itemgetter(0), letters), default=0) > n:
             raise SizeMismatchError("image mentions a generator beyond the rank")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
 
     def is_identity(self):

@@ -8,22 +8,32 @@ substitution*, 2009): c_0 t^lo + ... + c_m t^(lo+m) is stored as
 
 with balanced signed digits c_i, so ring operations on values become
 operations on integers: a sum is one shifted addition, a product one integer
-product and an exact quotient one ``divmod``.
+product and an exact quotient one ``divmod``. A product with, or a quotient
+by, a unit +-t^e is a shift of ``lo`` and perhaps a negation of ``v``: the
+other operand's digits, slots and ``bits`` carry over unchanged.
 
 - ``k``, the slot width, is the least multiple of 64 with
   ``max |c_i|.bit_length() <= k - 2``; ``c_0 != 0`` unless the value is zero,
   which is ``lo = 0, v = 0, k = 64``. The digits of a packed integer are
   unique, so two values are equal exactly when ``(lo, v, k)`` are.
 - ``bits`` is an upper bound on ``max |c_i|.bit_length()``. It is not
-  compared, and is exact after any operation that had to unpack the digits.
+  compared or hashed. It is exact in slots wider than 64 bits, and after
+  any operation that had to unpack the digits; in 64-bit slots it may be
+  loose, since each product and sum adds to its operands' bounds.
 
 **Why no carry occurs.** Reading the digits back is exact as long as every
 digit of a result lies strictly inside the slot, which holds when its
 bit length is at most k - 2. A sum's coefficients have at most
 ``max(b1, b2) + 1`` bits; a product's, each a sum of at most m = min(#digits)
 terms, at most ``b1 + b2 + (m - 1).bit_length()`` bits. An operation runs on
-the operands' 64-bit slots when that bound is at most 62, and otherwise on
-both operands repacked at the width the bound requires. That is the same
+the operands' 64-bit slots when that bound is at most 62. When it is not,
+each operand in 64-bit slots first has its ``bits`` lowered to their exact
+value (one unpack, stored on the operand) and the bound is taken again:
+loose bounds compound along a chain of operations, so values whose
+coefficients are far below 2^62 would otherwise be widened. Tightening puts
+the exact value in place of an upper bound, so the argument above holds
+with it. Only if the new bound still passes 62 does the operation run on
+both operands repacked at the width the bound requires: the same
 operation at a wider slot, after which the result is unpacked and repacked
 at its least width with its exact ``bits``.
 
@@ -85,10 +95,33 @@ def _digits(p):
     return _unpack(p._v, p._k, p._v.bit_length() // p._k + 1)
 
 
+def _exact_bits(digits):
+    return max(max(digits), -min(digits)).bit_length()
+
+
+def _tight_bits(p):
+    """p's bits bound, first lowered to its exact value if p sits in 64-bit
+    slots; a value in wider slots already carries its exact bits."""
+    if p._k == 64:
+        p._bits = _exact_bits(_digits(p))
+    return p._bits
+
+
 def _pack(digits, k):
-    half = 1 << (k - 1)
-    raw = b"".join([(c + half).to_bytes(k // 8, "little") for c in digits])
-    return int.from_bytes(raw, "little") - _bias(len(digits), k)
+    """The packed integer of balanced digits, lowest first, in k-bit slots.
+
+    Each digit is written as one k-bit two's-complement slot; flipping every
+    slot's top bit turns it into digit + 2^(k-1), the biased digit, so taking
+    away the bias leaves the packed integer. At 64-bit slots one struct.pack
+    writes every slot with no object per slot; wider slots, which
+    ``MAX_PACKED_BITS`` makes proportionally fewer, take one bytes each.
+    """
+    if k == 64:
+        raw = struct.pack(f"<{len(digits)}q", *digits)
+    else:
+        raw = b"".join([c.to_bytes(k // 8, "little", signed=True) for c in digits])
+    bias = _bias(len(digits), k)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
 
 
 def _at(p, k):
@@ -124,7 +157,7 @@ def _canonical(lo, v, k, bits):
         lo += zeros
     if k > 64:
         digits = _unpack(v, k, v.bit_length() // k + 1)
-        bits = max(max(digits), -min(digits)).bit_length()
+        bits = _exact_bits(digits)
         narrow = _width(bits)
         if narrow < k:
             v, k = _pack(digits, narrow), narrow
@@ -214,6 +247,8 @@ class LaurentPoly:
         # the sum spans this many exponents, or a's own, which is no wider
         span = b._lo - a._lo + b._v.bit_length() // b._k
         bits = max(a._bits, b._bits) + 1
+        if bits > 62:
+            bits = max(_tight_bits(a), _tight_bits(b)) + 1
         k = _width(bits)
         if (span + 1) * k > MAX_PACKED_BITS:
             raise _too_big(span, k)
@@ -235,8 +270,16 @@ class LaurentPoly:
         if not v1 or not v2:
             return ZERO
         lo = self._lo + other._lo
+        # a unit +-t^e shifts the other factor and maybe flips its signs
+        if v1 == 1 or v1 == -1:
+            return _make(lo, v1 * v2, other._k, other._bits)
+        if v2 == 1 or v2 == -1:
+            return _make(lo, v1 * v2, self._k, self._bits)
         span1, span2 = v1.bit_length() // self._k, v2.bit_length() // other._k
-        bits = self._bits + other._bits + min(span1, span2).bit_length()
+        spread = min(span1, span2).bit_length()
+        bits = self._bits + other._bits + spread
+        if bits > 62:
+            bits = _tight_bits(self) + _tight_bits(other) + spread
         k = _width(bits)
         if (span1 + span2 + 1) * k > MAX_PACKED_BITS:
             raise _too_big(span1 + span2, k)
@@ -289,6 +332,8 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self._v:
             return ZERO
+        if other._v == 1 or other._v == -1:  # +-t^e divides exactly: a shift
+            return _make(self._lo - other._lo, self._v * other._v, self._k, self._bits)
         na = self._v.bit_length() // self._k + 1
         nd = other._v.bit_length() // other._k + 1
         nq = na - nd + 1
@@ -305,7 +350,7 @@ class LaurentPoly:
                     break
                 digits = _unpack(q, k, nq)
                 if digits is not None:
-                    bits = max(max(digits), -min(digits)).bit_length()
+                    bits = _exact_bits(digits)
                     if bits + other._bits + spread <= k - 2:
                         return _canonical(self._lo - other._lo, q, k, bits)
                 if k == last:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .errors import DimensionMismatchError, NonUnitDeterminantError, ShapeError
+from .errors import DimensionMismatchError, NonUnitDeterminantError, ShapeError, as_count
 from .laurent import ONE, ZERO, LaurentPoly
 
 
@@ -38,7 +38,7 @@ class LPMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(identity_rows(n))
+        return cls(identity_rows(as_count(n)))
 
     def __repr__(self):
         return f"LPMatrix({[[str(e) for e in row] for row in self.entries]})"

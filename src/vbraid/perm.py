@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
-from .errors import PermutationError
+from .errors import PermutationError, as_count
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -38,7 +38,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        return cls(range(1, as_count(n) + 1))
 
     def __call__(self, x):
         return self.images[x - 1]

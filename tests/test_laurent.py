@@ -7,6 +7,7 @@ from conftest import d_add, d_exact_div, d_mul, d_neg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbraid import laurent
 from vbraid.errors import InexactDivisionError, LaurentTermError
 from vbraid.laurent import MAX_PACKED_BITS, ONE, T, T_INV, ZERO, LaurentPoly
 
@@ -260,6 +261,7 @@ def test_mixed_type_arithmetic_raises_type_error():
 
 def test_slot_boundary_products():
     """Products and sums whose coefficients reach the 62-bit limit of a 64-bit slot."""
+    wide = 0
     for m in (1, 2, 3, 4):
         for b1 in range(1, 66):
             for b2 in range(max(1, 56 - b1), 67 - b1):
@@ -267,9 +269,13 @@ def test_slot_boundary_products():
                     a = {i: 2**b1 - 1 for i in range(m)}
                     b = {i: sign * (2**b2 - 1) for i in range(m)}
                     pa, pb = LaurentPoly(a), LaurentPoly(b)
-                    assert pa * pb == LaurentPoly(d_mul(a, b))
+                    product = pa * pb
+                    assert product == LaurentPoly(d_mul(a, b))
                     assert pa + pa == LaurentPoly(d_add(a, a))
-                    assert (pa * pb).exact_div(pa) == pb
+                    assert product.exact_div(pa) == pb
+                    wide += product._k > 64
+    # the constructor's bounds are exact, so these products take wider slots
+    assert wide > 0
 
 
 def test_exact_div_quotient_larger_than_dividend():
@@ -323,3 +329,86 @@ def test_exact_div_widens_within_the_packing_limit():
     assert (q * d).exact_div(d) == q
     with pytest.raises(LaurentTermError, match="packs into"):
         LaurentPoly({0: 2, 1: 1, 5000: 1}).exact_div(LaurentPoly({0: 2}))
+
+
+def exact_bits(p):
+    return max((abs(c).bit_length() for c in p.terms.values()), default=0)
+
+
+# short polynomials with small coefficients, whose products' bounds outgrow
+# their exact bits within a few steps
+small_terms = st.dictionaries(
+    st.integers(-1, 1), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=2, max_size=3
+)
+# each step: an operation and its operands, counted back from the newest value
+chain_ops = st.lists(
+    st.tuples(st.sampled_from("**+/"), st.integers(0, 2), st.integers(0, 5)),
+    min_size=1,
+    max_size=32,
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.one_of(small_terms, wide_terms), min_size=2, max_size=4), chain_ops)
+def test_chains_keep_bits_a_bound_and_match_dict_oracle(starts, ops):
+    """Chains of +, * and exact_div, whose products carry loose `bits` bounds
+    that a later operation may tighten in place: every value keeps a bound at
+    least its exact coefficient bits, and it and its hash stay those of the
+    dict oracle's value."""
+    pool = [(LaurentPoly(t), t) for t in starts]
+    for op, i, j in ops:
+        (a, ta), (b, tb) = pool[-1 - i % len(pool)], pool[-1 - j % len(pool)]
+        if op == "+":
+            out, oracle = a + b, d_add(ta, tb)
+        elif op == "*":
+            out, oracle = a * b, d_mul(ta, tb)
+        elif not b:
+            continue
+        else:
+            assert (a * b).exact_div(b) == a  # exact; a / b may not be
+            oracle = _div_outcome(d_exact_div, ta, tb)
+            if oracle is InexactDivisionError:
+                with pytest.raises(InexactDivisionError):
+                    a.exact_div(b)
+                continue
+            out = a.exact_div(b)
+        for value, terms in ((a, ta), (b, tb), (out, oracle)):
+            assert value._bits >= exact_bits(value)
+            direct = LaurentPoly(terms)
+            assert value == direct and hash(value) == hash(direct)
+        if out.terms and max(out.terms) - min(out.terms) <= 100:
+            pool.append((out, oracle))
+
+
+def test_loose_bounds_tightened_before_widening(monkeypatch):
+    """Two products whose bounds add up past 62 bits, though their exact bits
+    do not, multiply on 64-bit slots; the bounds drop to the exact bits, and
+    the values and their hashes are unchanged."""
+    a = (ONE - T) ** 10  # largest coefficient 252: 8 bits
+    b = (ONE + T + T**2) ** 8  # largest coefficient 1107: 11 bits
+    assert a._k == b._k == 64
+    assert a._bits + b._bits > 62  # the bounds alone would ask for 128-bit slots
+    hashes = hash(a), hash(b)
+    widths = []
+    at = laurent._at
+    monkeypatch.setattr(laurent, "_at", lambda p, k: widths.append(k) or at(p, k))
+    product = a * b
+    assert widths == [] and product._k == 64
+    assert (a._bits, b._bits) == (8, 11)
+    assert (hash(a), hash(b)) == hashes
+    assert a == LaurentPoly(a.terms) and b == LaurentPoly(b.terms)
+    assert product == LaurentPoly(d_mul(a.terms, b.terms))
+
+
+@pytest.mark.parametrize("unit", [T, -T, T_INV, -ONE, LaurentPoly({5: -1})], ids=str)
+def test_unit_factor_shifts_the_other(unit):
+    """A product with +-t^e, or a quotient by it, keeps the other factor's
+    slots and bound and equals the dict oracle's value."""
+    p = LaurentPoly({-2: 2**100, 0: 3, 7: -1})
+    s, e = unit.is_unit()
+    for out in (p * unit, unit * p):
+        assert out == LaurentPoly({x + e: s * c for x, c in p.terms.items()})
+        assert (out._k, out._bits) == (p._k, p._bits)
+    quotient = p.exact_div(unit)
+    assert quotient == LaurentPoly({x - e: s * c for x, c in p.terms.items()})
+    assert (quotient._k, quotient._bits) == (p._k, p._bits)

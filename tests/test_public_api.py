@@ -123,6 +123,24 @@ def test_integer_fields_refuse_non_integers(name, args, error):
         getattr(vbraid, name)(*args)
 
 
+# each: a strand count or rank that is a bool or not an integer
+NON_INTEGER_COUNTS = {
+    "GroupWord('vb', True)": lambda: vbraid.GroupWord("vb", True),
+    "FreeAut(2.0, ...)": lambda: vbraid.FreeAut(2.0, [vbraid.FreeWord([(1, 1)])] * 2),
+    "FreeAut(True, ...)": lambda: vbraid.FreeAut(True, [vbraid.FreeWord([(1, 1)])]),
+    "FreeAut('2', ...)": lambda: vbraid.FreeAut("2", [vbraid.FreeWord()] * 2),
+    "Permutation.identity(2.0)": lambda: vbraid.Permutation.identity(2.0),
+    "LPMatrix.identity(2.0)": lambda: vbraid.LPMatrix.identity(2.0),
+    "LPMatrix.identity(True)": lambda: vbraid.LPMatrix.identity(True),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS)
+def test_counts_refuse_non_integers(call):
+    with pytest.raises(vbraid.StrandCountError, match="must be an integer"):
+        call()
+
+
 # each: the type, and constructor arguments whose container or element has the
 # wrong type
 WRONG_SHAPES = [
