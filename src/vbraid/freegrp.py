@@ -5,6 +5,13 @@ exponents +-1, kept freely reduced at all times. A FreeAut is determined
 by the images of the generators x_1..x_n; composition follows the same
 "rightmost acts first" convention as the rest of the package:
 ``aut_compose(f, g)`` applies g first.
+
+Letters are shared, not copied. One table, ``_INVERSE``, maps each letter
+to its inverse and holds both as the same two tuple objects for the life of
+the process, two entries per generator. ``inverse``, products and the
+identity images take their letters from it or from their operands, so the
+words of ``aut_rep`` on n strands, however long, share at most 2n letter
+objects: a letter costs one pointer in its word's tuple.
 """
 
 from __future__ import annotations
@@ -17,13 +24,30 @@ from operator import attrgetter, index, itemgetter
 from .errors import LetterError, ShapeError, SizeMismatchError, as_count
 
 
+class _Inverses(dict):
+    """letter -> its inverse letter. A letter seen for the first time is entered
+    together with its inverse, so a generator has two entries, and every value
+    is the very object kept as a key: the inverse of an inverse is the letter
+    the table holds."""
+
+    def __missing__(self, letter):
+        gen, exp = letter
+        inverse = (gen, -exp)
+        self[letter], self[inverse] = inverse, letter
+        return inverse
+
+
+_INVERSE = _Inverses()
+
+
 def _reduce(letters):
     stack = []
-    for gen, exp in letters:
+    for letter in letters:
+        gen, exp = letter
         if stack and stack[-1][0] == gen and stack[-1][1] == -exp:
             stack.pop()
         else:
-            stack.append((gen, exp))
+            stack.append(letter)
     return tuple(stack)
 
 
@@ -58,17 +82,18 @@ class FreeWord:
         return len(self.letters)
 
     def __mul__(self, other):
-        """Concatenation followed by free reduction at the junction."""
-        letters = list(self.letters)
-        for gen, exp in other.letters:
-            if letters and letters[-1][0] == gen and letters[-1][1] == -exp:
-                letters.pop()
-            else:
-                letters.append((gen, exp))
-        return _trusted_word(tuple(letters))
+        """Concatenation followed by free reduction at the junction: the
+        longest suffix of self that inverts a prefix of other is cut from both."""
+        a, b = self.letters, other.letters
+        if not a or not b or _INVERSE[a[-1]] != b[0]:
+            return _trusted_word(a + b)
+        cut, most = 1, min(len(a), len(b))
+        while cut < most and _INVERSE[a[-1 - cut]] == b[cut]:
+            cut += 1
+        return _trusted_word(a[: len(a) - cut] + b[cut:])
 
     def inverse(self):
-        return _trusted_word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return _trusted_word(tuple([_INVERSE[letter] for letter in reversed(self.letters)]))
 
     def max_generator(self):
         return max((g for g, _ in self.letters), default=0)
@@ -93,8 +118,8 @@ def _trusted_word(letters):
 @lru_cache(maxsize=64)
 def identity_images(n):
     """The images x_1, ..., x_n of the identity of F_n, built once per n and shared
-    (a FreeWord is immutable)."""
-    return tuple(_trusted_word(((i, 1),)) for i in range(1, n + 1))
+    (a FreeWord is immutable); each letter x_i is the one ``_INVERSE`` keeps."""
+    return tuple(_trusted_word((_INVERSE[(i, -1)],)) for i in range(1, n + 1))
 
 
 @dataclass(frozen=True, slots=True, repr=False)

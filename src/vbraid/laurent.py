@@ -60,6 +60,8 @@ _new = object.__new__
 
 MAX_PACKED_BITS = 1 << 24  # 2 MB: a span of 262,143 at 64-bit slots
 
+_BIAS64 = bytes(7) + b"\x80"  # 2^63 as one little-endian 64-bit slot
+
 
 def _width(bits):
     """The least slot width, a multiple of 64, that holds digits of `bits` bits
@@ -216,6 +218,12 @@ class LaurentPoly:
             return {}
         return {self._lo + i: c for i, c in enumerate(_digits(self)) if c}
 
+    @property
+    def packed_bits(self):
+        """The bits this value's packed integer takes: one slot per exponent of
+        its span, which ``MAX_PACKED_BITS`` bounds."""
+        return (self._v.bit_length() // self._k + 1) * self._k
+
     def is_unit(self):
         """Return (sign, exponent) if self = sign * t^exponent, else None.
 
@@ -342,6 +350,22 @@ class LaurentPoly:
             bound = nq - 1 + self._bits + ((na - 1).bit_length() + 1) // 2
             k = max(self._k, other._k)
             last = max(k, _width(bound + other._bits + spread))
+            if k == 64:
+                # the first pass on both operands' own 64-bit slots, with no
+                # repacking: the quotient's biased slots, their top bits
+                # flipped, are its digits as signed 64-bit words
+                q, r = divmod(self._v, other._v)
+                if not r:
+                    bias = int.from_bytes(_BIAS64 * nq, "little")
+                    u = q + bias
+                    if u >= 0 and not u >> (64 * nq):
+                        digits = struct.unpack(f"<{nq}q", (u ^ bias).to_bytes(8 * nq, "little"))
+                        bits = max(max(digits), -min(digits)).bit_length()
+                        if bits + other._bits + spread <= 62:
+                            return _make(self._lo - other._lo, q, 64, bits)
+                if r or last == 64:
+                    raise InexactDivisionError(f"{self} is not divisible by {other}")
+                k = 128
             while True:
                 if na * k > MAX_PACKED_BITS:
                     raise _too_big(na - 1, k)

@@ -1,8 +1,9 @@
 """Square matrices over Z[t, t^-1].
 
-Everything is exact. Determinants and inverses share one Bareiss
-fraction-free elimination, whose divisions are exact in Z[t, t^-1];
-inverses exist only for unit determinants +-t^k.
+Everything is exact. Determinants and inverses share one forward Bareiss
+fraction-free elimination, whose divisions are exact in Z[t, t^-1]; an
+inverse then back-substitutes through the triangle it leaves. Inverses
+exist only for unit determinants +-t^k.
 """
 
 from __future__ import annotations
@@ -12,8 +13,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 
-from .errors import DimensionMismatchError, NonUnitDeterminantError, ShapeError, as_count
-from .laurent import ONE, ZERO, LaurentPoly
+from .errors import (
+    DimensionMismatchError,
+    LaurentTermError,
+    NonUnitDeterminantError,
+    ShapeError,
+    as_count,
+)
+from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -51,7 +58,25 @@ class LPMatrix:
 
     @classmethod
     def from_json_obj(cls, obj):
-        entries = [[LaurentPoly.from_json_obj(e) for e in row] for row in obj["entries"]]
+        """Decode to_json_obj's form. The entries of an n-row matrix may pack
+        into at most n * MAX_PACKED_BITS bits in all, as much as n of the widest
+        values: a sparse input would otherwise build up to n^2 of them from a
+        few hundred bytes. The entry that passes the budget raises
+        LaurentTermError before the rest are decoded."""
+        rows = obj["entries"]
+        budget = len(rows) * MAX_PACKED_BITS
+        entries = []
+        for row in rows:
+            decoded = []
+            for e in row:
+                entry = LaurentPoly.from_json_obj(e)
+                budget -= entry.packed_bits
+                if budget < 0:
+                    raise LaurentTermError(
+                        f"matrix entries pack into more than {len(rows)} x {MAX_PACKED_BITS} bits"
+                    )
+                decoded.append(entry)
+            entries.append(decoded)
         mat = cls(entries)
         if mat.n != obj["n"]:
             raise DimensionMismatchError("declared dimension disagrees with entries")
@@ -91,17 +116,19 @@ def mat_mul(a: LPMatrix, b: LPMatrix) -> LPMatrix:
     return LPMatrix(out)
 
 
-def _bareiss(rows, jordan):
+def _bareiss(rows):
     """Bareiss fraction-free elimination of `rows` in place; returns the last pivot.
 
     `rows` holds n lists of LaurentPoly, each at least n long. The pivot of
     column k is the first row from k down with a nonzero entry there,
     swapped in and negated so the determinant of the left n x n block is
-    kept. Entries right of column k become (pivot * x - row[k] * pivot_row[j])
-    divided exactly by the previous pivot (Sylvester's identity; Bareiss,
-    Math. Comp. 22, 1968), in the rows below the pivot, and with `jordan` in
-    those above too, which leaves det(A) * A^-1 in the right block of [A | I].
-    Entries at or left of the pivot column go stale. The last pivot is the
+    kept. In the rows below the pivot, entries right of column k become
+    (pivot * x - row[k] * pivot_row[j]) divided exactly by the previous
+    pivot (Sylvester's identity; Bareiss, Math. Comp. 22, 1968). Without
+    the second term, a zero stays zero and an entry equal to the previous
+    pivot becomes the pivot, with no product or division. Entries at or
+    left of the pivot column go stale, so rows[i][j] for j > i is the upper
+    triangle U, and rows[i][i] the i-th pivot. The last pivot is the
     determinant of the left block, or ZERO when some column has no pivot.
     """
     n = len(rows)
@@ -114,40 +141,51 @@ def _bareiss(rows, jordan):
             rows[k], rows[p] = [-e for e in rows[p]], rows[k]
         pivot_row = rows[k]
         pivot = pivot_row[k]
-        for i in range(0 if jordan else k + 1, n):
-            if i == k:
-                continue
-            row = rows[i]
+        for row in rows[k + 1:]:
             neg_f = -row[k]
             for j in range(k + 1, len(row)):
-                e = pivot * row[j]
-                if neg_f and pivot_row[j]:
-                    e = e + neg_f * pivot_row[j]
-                row[j] = e.exact_div(prev)
+                x, y = row[j], pivot_row[j]
+                if neg_f and y:
+                    row[j] = (pivot * x + neg_f * y).exact_div(prev)
+                elif x:
+                    row[j] = pivot if x == prev else (pivot * x).exact_div(prev)
         prev = pivot
     return prev
 
 
 def mat_det(a: LPMatrix) -> LaurentPoly:
     """Exact determinant by Bareiss fraction-free elimination: O(n^3) ring operations."""
-    return _bareiss([list(row) for row in a.entries], jordan=False)
+    return _bareiss([list(row) for row in a.entries])
 
 
 def mat_inverse(a: LPMatrix) -> LPMatrix:
     """Inverse of a matrix whose determinant is a unit +-t^k.
 
-    Gauss-Jordan elimination of [A | I] leaves det(A) * A^-1 in the right
-    block, which is then multiplied by det(A)^-1.
+    Forward Bareiss elimination of [A | I] gives [U | B'] with U upper
+    triangular and det(A) its last pivot; a determinant that is not a unit
+    raises NonUnitDeterminantError before any further work. Every row of
+    [U | B'] is a combination of the rows of [A | I], so [U | B'] = C [A | I]
+    for one matrix C: U = C A and B' = C, hence U A^-1 = B'. Back-substitution
+    solves this from the bottom row up, x_i = (b'_i - sum_{j>i} u_ij x_j) / u_ii.
+    Each division is exact, as its quotient x_i is a row of A^-1, whose
+    entries lie in Z[t, t^-1]; the first, by u_nn = det(A), is a shift.
     """
     n = a.n
     rows = [[*row, *unit] for row, unit in zip(a.entries, identity_rows(n))]
-    det = _bareiss(rows, jordan=True)
-    unit = det.is_unit()
-    if unit is None:
+    det = _bareiss(rows)
+    if det.is_unit() is None:
         raise NonUnitDeterminantError(f"determinant {det} is not a unit of Z[t,t^-1]")
-    s, k = unit
-    det_inv = LaurentPoly({-k: s})  # (s*t^k)^-1 = s*t^-k since s = +-1
-    return LPMatrix([[e * det_inv for e in row[n:]] for row in rows])
+    inverse = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            if row[j]:
+                neg_u = -row[j]
+                acc = [e + neg_u * x if x else e for e, x in zip(acc, inverse[j])]
+        pivot = row[i]
+        inverse[i] = [e.exact_div(pivot) for e in acc]
+    return LPMatrix(inverse)
 
 
 def block_diag(a: LPMatrix, b: LPMatrix) -> LPMatrix:

@@ -3,10 +3,10 @@ import random
 from hypothesis import strategies as st
 
 from vbraid.braidword import Flavor, GroupWord, Letter
-from vbraid.errors import InexactDivisionError, SizeMismatchError
+from vbraid.errors import InexactDivisionError, NonUnitDeterminantError, SizeMismatchError
 from vbraid.freegrp import FreeAut, FreeWord, aut_compose
-from vbraid.laurent import ONE, T, T_INV, ZERO
-from vbraid.lpmatrix import LPMatrix, mat_mul
+from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
+from vbraid.lpmatrix import LPMatrix, identity_rows, mat_mul
 from vbraid.perm import Permutation
 
 
@@ -101,6 +101,41 @@ def dense_burau(w):
             rows[i] = rj
             rows[i + 1] = [T_INV * a + (ONE - T_INV) * b for a, b in zip(ri, rj)]
     return LPMatrix(rows)
+
+
+def gauss_jordan_inverse(a):
+    """Oracle: mat_inverse as first written. Bareiss elimination of [A | I]
+    updates the rows above each pivot as well as those below (Gauss-Jordan),
+    which leaves det(A) * A^-1 in the right block; that block is then
+    multiplied by det(A)^-1."""
+    n = a.n
+    rows = [[*row, *unit] for row, unit in zip(a.entries, identity_rows(n))]
+    prev = ONE
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise NonUnitDeterminantError("singular matrix")
+        if p != k:
+            rows[k], rows[p] = [-e for e in rows[p]], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = rows[i]
+            neg_f = -row[k]
+            for j in range(k + 1, 2 * n):
+                e = pivot * row[j]
+                if neg_f and pivot_row[j]:
+                    e = e + neg_f * pivot_row[j]
+                row[j] = e.exact_div(prev)
+        prev = pivot
+    unit = prev.is_unit()
+    if unit is None:
+        raise NonUnitDeterminantError(f"determinant {prev} is not a unit")
+    s, k = unit
+    det_inv = LaurentPoly({-k: s})
+    return LPMatrix([[e * det_inv for e in row[n:]] for row in rows])
 
 
 def aut_generator(letter, n):

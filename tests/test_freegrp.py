@@ -3,10 +3,11 @@ import random
 import pytest
 from conftest import random_word, rep_words
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbraid.braidword import relators
 from vbraid.errors import LetterError, SizeMismatchError
-from vbraid.freegrp import FreeAut, FreeWord, aut_apply, aut_compose
+from vbraid.freegrp import FreeAut, FreeWord, _reduce, aut_apply, aut_compose
 from vbraid.reps import aut_rep
 
 
@@ -31,6 +32,38 @@ class TestConcat:
         u = FreeWord([(2, -1), (1, 1)])
         v = FreeWord([(1, -1), (2, 1)])
         assert u * v == FreeWord()
+
+
+free_letters = st.tuples(st.integers(1, 3), st.sampled_from((1, -1)))
+free_words = st.lists(free_letters, max_size=10).map(FreeWord)
+
+
+@st.composite
+def free_word_pairs(draw):
+    """(a, b) at random, or with b = a^-1 c, so that a * b cancels all of a."""
+    a, c = draw(free_words), draw(free_words)
+    return (a, a.inverse() * c) if draw(st.booleans()) else (a, c)
+
+
+@given(free_word_pairs())
+def test_product_reduces_the_concatenation(pair):
+    a, b = pair
+    assert (a * b).letters == _reduce(a.letters + b.letters)
+
+
+@given(free_words)
+def test_inverse_reverses_and_negates(w):
+    assert w.inverse().letters == tuple((g, -e) for g, e in reversed(w.letters))
+    assert (w * w.inverse()).letters == (w.inverse() * w).letters == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_words(("vb", "bp", "br", "sym"), max_n=7, max_len=40))
+def test_aut_images_share_their_letters(w):
+    """Images are built from the identity images by inverses and products,
+    which reuse letter objects: at most one per generator and sign."""
+    images = aut_rep(w).images
+    assert len({id(letter) for img in images for letter in img.letters}) <= 2 * w.n
 
 
 def test_construction_reduces():

@@ -160,6 +160,17 @@ def test_inexact_division_raises_typed_error():
         ONE.exact_div(ONE - T)
 
 
+def test_exact_div_remainder_in_64_bit_slots_raises():
+    # (1 + t)(1 - 2t + 3t^2) + 1: the packed integers leave a remainder on the
+    # operands' own 64-bit slots, before any wider width is tried
+    d = poly({0: 1, 1: 1})
+    a = d * poly({0: 1, 1: -2, 2: 3}) + ONE
+    assert a._k == d._k == 64
+    with pytest.raises(InexactDivisionError):
+        a.exact_div(d)
+    assert (a - ONE).exact_div(d) == poly({0: 1, 1: -2, 2: 3})
+
+
 @given(polys, polys)
 def test_exact_div_inverts_mul(a, b):
     if b:
@@ -278,10 +289,11 @@ def test_slot_boundary_products():
     assert wide > 0
 
 
-def test_exact_div_quotient_larger_than_dividend():
+def test_exact_div_quotient_larger_than_dividend(monkeypatch):
     # (1 - t^10)^10 / (1 - t)^10 = (1 + t + ... + t^9)^10: the quotient's
     # coefficients are 21 bits wider than the dividend's, and the scale 2^36
-    # leaves the dividend in 64-bit slots and puts the quotient past them
+    # leaves the dividend in 64-bit slots and puts the quotient past them, so
+    # the division is redone at 128 bits
     d = LaurentPoly({i: (-1) ** i * math.comb(10, i) for i in range(11)})
     q = LaurentPoly(
         {e: 2**36 * c for e, c in (LaurentPoly({i: 1 for i in range(10)}) ** 10).terms.items()}
@@ -289,7 +301,9 @@ def test_exact_div_quotient_larger_than_dividend():
     a = q * d
     assert max(map(abs, a.terms.values())).bit_length() <= 62
     assert max(map(abs, q.terms.values())).bit_length() > 62
+    widths = spy_widths(monkeypatch)
     assert a.exact_div(d) == q
+    assert widths == [128, 128]
     with pytest.raises(InexactDivisionError):
         (a + ONE).exact_div(d)
 
@@ -319,16 +333,29 @@ def test_value_too_wide_to_pack_is_refused_before_building():
             build()
 
 
-def test_exact_div_widens_within_the_packing_limit():
+def spy_widths(monkeypatch):
+    """The slot widths at which `laurent._at` repacks an operand from now on:
+    the widths the division loop tries past the operands' own 64 bits."""
+    widths = []
+    at = laurent._at
+    monkeypatch.setattr(laurent, "_at", lambda p, k: widths.append(k) or at(p, k))
+    return widths
+
+
+def test_exact_div_widens_within_the_packing_limit(monkeypatch):
     """A quotient too big for the dividend's slots is found at a doubled width,
     far below the Landau-Mignotte width that would pass MAX_PACKED_BITS at
     this span; an inexact division that divides as packed integers at every
     width up to the limit raises LaurentTermError."""
     q = LaurentPoly({e: 2**40 + e for e in range(5000)})
     d = ONE + LaurentPoly({1: 2**20})
-    assert (q * d).exact_div(d) == q
+    product = q * d
+    widths = spy_widths(monkeypatch)
+    assert product.exact_div(d) == q
+    assert widths == [128, 128]
     with pytest.raises(LaurentTermError, match="packs into"):
         LaurentPoly({0: 2, 1: 1, 5000: 1}).exact_div(LaurentPoly({0: 2}))
+    assert widths[-1] == 2048
 
 
 def exact_bits(p):
@@ -389,9 +416,7 @@ def test_loose_bounds_tightened_before_widening(monkeypatch):
     assert a._k == b._k == 64
     assert a._bits + b._bits > 62  # the bounds alone would ask for 128-bit slots
     hashes = hash(a), hash(b)
-    widths = []
-    at = laurent._at
-    monkeypatch.setattr(laurent, "_at", lambda p, k: widths.append(k) or at(p, k))
+    widths = spy_widths(monkeypatch)
     product = a * b
     assert widths == [] and product._k == 64
     assert (a._bits, b._bits) == (8, 11)

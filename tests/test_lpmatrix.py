@@ -1,13 +1,23 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import burau_generator, random_word
+from conftest import burau_generator, gauss_jordan_inverse, random_word, rep_words
 
-from vbraid.braidword import Flavor, Letter, invert_word
-from vbraid.errors import DimensionMismatchError, NonUnitDeterminantError
+from vbraid.braidword import Flavor, GroupWord, Letter, invert_word
+from vbraid.errors import DimensionMismatchError, LaurentTermError, NonUnitDeterminantError
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
-from vbraid.lpmatrix import LPMatrix, block_diag, mat_det, mat_inverse, mat_mul
+from vbraid.lpmatrix import (
+    LPMatrix,
+    block_diag,
+    identity_rows,
+    mat_det,
+    mat_inverse,
+    mat_mul,
+)
 from vbraid.reps import burau, exp_sum, zeta_count
 
 ONE_MINUS_T = ONE - T
@@ -185,6 +195,62 @@ class TestInverse:
             assert mat_mul(inv, a) == LPMatrix.identity(n)
 
 
+small_polys = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def unit_det_matrices(draw, max_n=6):
+    """Products of elementary matrices I + c e_ij with Laurent c, rows then
+    scaled by units +-t^e and permuted: the determinant is a unit, and the
+    matrix is in general no Burau matrix."""
+    n = draw(st.integers(1, max_n))
+    rows = [list(row) for row in identity_rows(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), small_polys)
+    for i, j, c in draw(st.lists(steps, max_size=12)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    unit = st.builds(lambda e, s: LaurentPoly({e: s}), st.integers(-2, 2), st.sampled_from((1, -1)))
+    units = draw(st.lists(unit, min_size=n, max_size=n))
+    scaled = [[e * u for e in row] for row, u in zip(rows, units)]
+    return LPMatrix([scaled[i] for i in draw(st.permutations(range(n)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_words(("vb", "bp", "br"), max_n=8, max_len=30))
+def test_inverse_matches_gauss_jordan_on_burau(w):
+    b = burau(w)
+    assert mat_inverse(b) == gauss_jordan_inverse(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_det_matrices())
+def test_inverse_matches_gauss_jordan_on_unit_det_products(m):
+    inv = mat_inverse(m)
+    assert inv == gauss_jordan_inverse(m)
+    assert mat_mul(m, inv) == LPMatrix.identity(m.n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_det_matrices(), st.integers(0, 5), small_polys, st.booleans())
+def test_inverse_refuses_singular_and_non_unit_determinants(m, r, c, singular):
+    """Row r becomes c times another row, or zero (singular), or c times
+    itself for a c that is no unit (determinant c times a unit)."""
+    n = m.n
+    rows = [list(row) for row in m.entries]
+    i = r % n
+    if singular:
+        rows[i] = [c * e for e in rows[(i + 1) % n]] if n > 1 else [ZERO]
+    elif c and c.is_unit() is None:
+        rows[i] = [c * e for e in rows[i]]
+    else:
+        return
+    bad = LPMatrix(rows)
+    assert mat_det(bad).is_unit() is None
+    for invert in (mat_inverse, gauss_jordan_inverse):
+        with pytest.raises(NonUnitDeterminantError):
+            invert(bad)
+
+
 def test_det_and_inverse_with_wide_coefficients():
     """A unipotent matrix whose entries have ~100-bit coefficients, so the
     elimination runs on slots wider than 64 bits: det 1 and an exact inverse."""
@@ -233,6 +299,29 @@ class TestBlockDiag:
 def test_json_round_trip():
     m = sigma1_2x2()
     assert LPMatrix.from_json(m.to_json()) == m
+    # a Burau matrix of 40 positive letters on 7 strands, as in the benchmark
+    rng = random.Random(7)
+    for flavor in ("vb", "bp", "br"):
+        kinds = "s" if flavor == "br" else "sz"
+        letters = [Letter(rng.choice(kinds), rng.randrange(1, 7)) for _ in range(40)]
+        w = GroupWord(flavor, 7, letters)
+        b = burau(w)
+        assert LPMatrix.from_json(b.to_json()) == b
+
+
+def test_json_sparse_entries_refused_past_the_matrix_budget(monkeypatch):
+    """461 bytes of JSON ask for 16 entries of MAX_PACKED_BITS each; the fifth
+    passes the 4 x MAX_PACKED_BITS budget and raises before the rest are built."""
+    text = json.dumps({"n": 4, "entries": [[{"0": "1", "262143": "1"}] * 4] * 4})
+    assert len(text) == 461
+    decoded = []
+    decode = LaurentPoly.from_json_obj
+    monkeypatch.setattr(
+        LaurentPoly, "from_json_obj", lambda obj: decoded.append(obj) or decode(obj)
+    )
+    with pytest.raises(LaurentTermError, match="matrix entries"):
+        LPMatrix.from_json(text)
+    assert len(decoded) == 5
 
 
 def test_non_square_rejected():
