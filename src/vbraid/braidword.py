@@ -16,7 +16,6 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from operator import index
-from typing import Optional
 
 from .errors import (
     IndexOutOfRangeError,
@@ -169,21 +168,39 @@ _TOKEN_RE = re.compile(r"([sza])0*([1-9][0-9]*)(\^-1)?$")
 def parse_word(text: str, flavor, n: int) -> GroupWord:
     """Tokenize word text; GroupWord then checks the letters against flavor and n.
 
-    Every WordSyntaxError carries the 0-based character position of its token.
+    Each distinct token is matched and built into a Letter once per call, and
+    the letters it stands for are that one object. Every WordSyntaxError carries
+    the 0-based character position of its token; a malformed token is reported
+    before any letter fault.
     """
-    letters, starts = [], []
-    for match in re.finditer(r"\S+", text):
-        m = _TOKEN_RE.match(match.group(0))
-        if m is None:
-            raise WordSyntaxError(f"cannot parse token {match.group(0)!r}", match.start())
-        kind, index, inv = m.groups()
-        # z^2 = 1, so z^-1 = z
-        letters.append(Letter(kind, int(index), -1 if inv and kind != "z" else 1))
-        starts.append(match.start())
+    letters, seen = [], {}
+    for token in text.split():
+        letter = seen.get(token)
+        if letter is None:
+            m = _TOKEN_RE.match(token)
+            if m is None:
+                raise WordSyntaxError(
+                    f"cannot parse token {token!r}", _token_start(text, len(letters))
+                )
+            kind, index, inv = m.groups()
+            # z^2 = 1, so z^-1 = z
+            letter = seen[token] = Letter(kind, int(index), -1 if inv and kind != "z" else 1)
+        letters.append(letter)
     try:
         return GroupWord(flavor, n, letters)
     except WordSyntaxError as exc:
-        raise type(exc)(exc.message, starts[exc.position]) from None
+        raise type(exc)(exc.message, _token_start(text, exc.position)) from None
+
+
+def _token_start(text: str, k: int) -> int:
+    """Character offset of the k-th whitespace-separated token of text. A token
+    holds no whitespace, so its first occurrence past the previous token's end
+    is where it starts."""
+    end = 0
+    for token in text.split()[: k + 1]:
+        start = text.index(token, end)
+        end = start + len(token)
+    return start
 
 
 def free_reduce(w: GroupWord) -> GroupWord:
@@ -347,7 +364,7 @@ class RewriteStep:
 @dataclass(frozen=True, slots=True)
 class EqualityResult:
     equal: bool
-    witness: Optional[tuple] = None  # tuple of RewriteStep when equal
+    witness: tuple | None = None  # tuple of RewriteStep when equal
 
     def __bool__(self):
         return self.equal
@@ -364,7 +381,7 @@ def rewrite_rules(flavor, n: int):
     return rewrite_engine(flavor, n).rules
 
 
-def _splice(w: GroupWord, step: RewriteStep, rule: Optional[Relator]) -> GroupWord:
+def _splice(w: GroupWord, step: RewriteStep, rule: Relator | None) -> GroupWord:
     if rule is None:
         raise WitnessError(f"step {step} names no rewrite rule")
     src, dst = (rule.lhs, rule.rhs) if step.direction == 1 else (rule.rhs, rule.lhs)

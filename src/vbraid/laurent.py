@@ -54,7 +54,7 @@ import json
 import struct
 from operator import index
 
-from .errors import InexactDivisionError, LaurentTermError
+from .errors import InexactDivisionError, LaurentTermError, ShapeError
 
 _new = object.__new__
 
@@ -400,7 +400,10 @@ class LaurentPoly:
     @classmethod
     def from_json_obj(cls, obj):
         """Decode to_json_obj's form. A term that is not an integer, or a value
-        too wide to pack (MAX_PACKED_BITS), raises LaurentTermError."""
+        too wide to pack (MAX_PACKED_BITS), raises LaurentTermError; an object
+        that is not a JSON object raises ShapeError."""
+        if not isinstance(obj, dict):
+            raise ShapeError(f"a Laurent polynomial is a JSON object, got {type(obj).__name__}")
         return cls({_json_int(e): _json_int(c) for e, c in obj.items()})
 
     def to_json(self):

@@ -62,8 +62,14 @@ class LPMatrix:
         into at most n * MAX_PACKED_BITS bits in all, as much as n of the widest
         values: a sparse input would otherwise build up to n^2 of them from a
         few hundred bytes. The entry that passes the budget raises
-        LaurentTermError before the rest are decoded."""
-        rows = obj["entries"]
+        LaurentTermError before the rest are decoded. A wrong container or a
+        missing key raises ShapeError, and an "n" that is not an integer
+        StrandCountError."""
+        if not isinstance(obj, dict) or not {"n", "entries"} <= obj.keys():
+            raise ShapeError('a matrix is a JSON object with keys "n" and "entries"')
+        n, rows = as_count(obj["n"], "matrix dimension"), obj["entries"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ShapeError("matrix entries must be a JSON list of rows")
         budget = len(rows) * MAX_PACKED_BITS
         entries = []
         for row in rows:
@@ -78,7 +84,7 @@ class LPMatrix:
                 decoded.append(entry)
             entries.append(decoded)
         mat = cls(entries)
-        if mat.n != obj["n"]:
+        if mat.n != n:
             raise DimensionMismatchError("declared dimension disagrees with entries")
         return mat
 

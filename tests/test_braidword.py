@@ -1,11 +1,14 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from conftest import random_word
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbraid import braidword
 from vbraid.braidword import (
@@ -99,6 +102,70 @@ class TestParse:
         for kind, index, exponent in (("s", 0, 1), ("q", 1, 1), ("s", 1, 2), ("z", 1, -1)):
             with pytest.raises(LetterError):
                 Letter(kind, index, exponent)
+
+
+_ORACLE_TOKEN_RE = re.compile(r"([sza])0*([1-9][0-9]*)(\^-1)?$")
+
+
+def finditer_parse_word(text, flavor, n):
+    """The parser that parse_word replaced, kept as its oracle: tokens from
+    re.finditer with their offsets, one regex match and one Letter per token."""
+    letters, starts = [], []
+    for match in re.finditer(r"\S+", text):
+        m = _ORACLE_TOKEN_RE.match(match.group(0))
+        if m is None:
+            raise WordSyntaxError(f"cannot parse token {match.group(0)!r}", match.start())
+        kind, index, inv = m.groups()
+        letters.append(Letter(kind, int(index), -1 if inv and kind != "z" else 1))
+        starts.append(match.start())
+    try:
+        return GroupWord(flavor, n, letters)
+    except WordSyntaxError as exc:
+        raise type(exc)(exc.message, starts[exc.position]) from None
+
+
+# separators that str.split and \s both take as whitespace; letters, some of
+# which a flavor or n refuses; malformed tokens, several of them substrings of
+# letters
+SEPARATORS = (" ", "\t", "\n", "\x1c", "\u00a0", "\u3000", "\r\n", " \x85\t")
+LETTER_TOKENS = ("s1", "s2^-1", "s01", "z1", "z2^-1", "a1", "a2^-1", "s5")
+MALFORMED_TOKENS = (
+    "s", "z", "s1^", "s1^-", "q9", "s0", "s1^-2", "S1", "z1^1", "s1\u200b", "s\u00b2", "s1^-1^-1"
+)
+
+
+@st.composite
+def word_texts(draw):
+    """Letters, then letters and malformed tokens mixed, each token followed by
+    a separator."""
+    tokens = draw(st.lists(st.sampled_from(LETTER_TOKENS), max_size=8))
+    tokens += draw(st.lists(st.sampled_from(LETTER_TOKENS + MALFORMED_TOKENS), max_size=8))
+    parts = [draw(st.sampled_from(("",) + SEPARATORS))]
+    for token in tokens:
+        parts += [token, draw(st.sampled_from(SEPARATORS))]
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_texts(), st.sampled_from([f.value for f in Flavor]), st.integers(0, 6))
+def test_parse_word_matches_finditer_oracle(text, flavor, n):
+    try:
+        expected = finditer_parse_word(text, flavor, n)
+    except WordSyntaxError as exc:
+        with pytest.raises(WordSyntaxError) as got:
+            parse_word(text, flavor, n)
+        assert type(got.value) is type(exc)
+        assert (got.value.position, str(got.value)) == (exc.position, str(exc))
+    else:
+        assert parse_word(text, flavor, n) == expected
+
+
+def test_parse_word_builds_one_letter_per_distinct_token():
+    n = 40
+    w = random_word(random.Random(40), "vb", n, 600)
+    parsed = parse_word(str(w), "vb", n)
+    assert parsed == w
+    assert len({id(lt) for lt in parsed.letters}) <= 3 * (n - 1)
 
 
 class TestFreeReduce:

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from conftest import burau_generator, gauss_jordan_inverse, random_word, rep_words
 
 from vbraid.braidword import Flavor, GroupWord, Letter, invert_word
-from vbraid.errors import DimensionMismatchError, LaurentTermError, NonUnitDeterminantError
+from vbraid.errors import (
+    DimensionMismatchError,
+    LaurentTermError,
+    NonUnitDeterminantError,
+    ShapeError,
+    StrandCountError,
+)
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import (
     LPMatrix,
@@ -322,6 +328,38 @@ def test_json_sparse_entries_refused_past_the_matrix_budget(monkeypatch):
     with pytest.raises(LaurentTermError, match="matrix entries"):
         LPMatrix.from_json(text)
     assert len(decoded) == 5
+
+
+# each: a decoder, its malformed JSON text, the typed error it must raise
+ONE_ENTRY = '"entries": [[{"0": "1"}]]'
+MALFORMED_JSON = [
+    (LPMatrix.from_json, "{" + ONE_ENTRY + "}", ShapeError),  # no "n"
+    (LPMatrix.from_json, '{"n": 1}', ShapeError),  # no "entries"
+    (LPMatrix.from_json, '{"n": 1, "entries": 5}', ShapeError),
+    (LPMatrix.from_json, '{"n": 1, "entries": [5]}', ShapeError),  # a row not a list
+    (LPMatrix.from_json, '{"n": 1, "entries": [[5]]}', ShapeError),  # an entry not an object
+    (LPMatrix.from_json, "[1]", ShapeError),
+    (LPMatrix.from_json, "5", ShapeError),
+    (LPMatrix.from_json, '"x"', ShapeError),
+    (LPMatrix.from_json, '{"n": 1.0, ' + ONE_ENTRY + "}", StrandCountError),
+    (LPMatrix.from_json, '{"n": "1", ' + ONE_ENTRY + "}", StrandCountError),
+    (LPMatrix.from_json, '{"n": true, ' + ONE_ENTRY + "}", StrandCountError),
+    (LaurentPoly.from_json, "[1]", ShapeError),
+    (LaurentPoly.from_json, "5", ShapeError),
+    (LaurentPoly.from_json, '"x"', ShapeError),
+]
+
+
+@pytest.mark.parametrize(
+    "decode, text, error",
+    MALFORMED_JSON,
+    ids=[f"{decode.__self__.__name__}:{text}" for decode, text, _ in MALFORMED_JSON],
+)
+def test_malformed_json_raises_typed_errors(decode, text, error):
+    with pytest.raises(error):
+        decode(text)
+    with pytest.raises(error):
+        decode.__self__.from_json_obj(json.loads(text))
 
 
 def test_non_square_rejected():

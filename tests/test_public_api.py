@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,46 @@ def test_value_type_contract(name):
         setattr(value, attr, None)
     assert value == twin
     assert not hasattr(value, "__dict__")
+
+
+# each: code run in a fresh interpreter, which asserts what importing that much
+# of the package loads and exposes
+VBRAID_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'vbraid')"
+IMPORT_SURFACE = {
+    "parse_word loads braidword and errors only": (
+        "from vbraid import parse_word\n"
+        f"assert {VBRAID_MODULES} == ['vbraid', 'vbraid.braidword', 'vbraid.errors'], "
+        f"{VBRAID_MODULES}"
+    ),
+    "burau loads reps": (
+        "import vbraid\n"
+        "assert 'vbraid.reps' not in sys.modules\n"
+        "vbraid.burau\n"
+        "assert 'vbraid.reps' in sys.modules and 'vbraid.burau' not in sys.modules"
+    ),
+    "unknown name is no attribute": (
+        "import vbraid\n"
+        "assert not hasattr(vbraid, 'nope')\n"
+        f"assert {VBRAID_MODULES} == ['vbraid']"
+    ),
+    "cli submodule": (
+        "from vbraid import cli\n"
+        "assert cli.__name__ == 'vbraid.cli' and callable(cli.main)"
+    ),
+    "star import": (
+        "from vbraid import *\n"
+        "import vbraid\n"
+        "assert all(globals()[name] is getattr(vbraid, name) for name in vbraid.__all__)\n"
+        "assert parse_word('s1', 'vb', 2) and LPMatrix.identity(2).n == 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("code", IMPORT_SURFACE.values(), ids=IMPORT_SURFACE)
+def test_import_surface(code):
+    src = str(Path(vbraid.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
