@@ -402,51 +402,63 @@ def replay_witness(w: GroupWord, witness, rules) -> GroupWord:
 _KIND_CODE = {"s": 0, "z": 1, "a": 2}
 
 
-def _code(lt: Letter) -> int:
-    """A small int for every letter: distinct letters get distinct codes."""
-    return lt.index * 6 + _KIND_CODE[lt.kind] * 2 + (lt.exponent < 0)
+def _char(lt: Letter) -> str:
+    """One character for every letter: distinct letters get distinct characters."""
+    return chr(lt.index * 6 + _KIND_CODE[lt.kind] * 2 + (lt.exponent < 0))
+
+
+def _chars(letters) -> str:
+    return "".join(map(_char, letters))
 
 
 class RewriteEngine:
     """The rewrite rules of one (flavor, n), compiled for the search.
 
     Move ``2*k`` applies rule k left to right and move ``2*k + 1`` right to
-    left; both rewrite int-coded letter tuples. Moves are indexed by the
-    first code of their source. Moves with an empty source insert at every
-    position and are kept apart.
+    left; both rewrite search words, which are ``str``s of one character per
+    letter, so that each caches its hash and is sliced and joined in C. Moves
+    are indexed by the first character of their source. Moves with an empty
+    source insert at every position and are kept apart. A move changes a
+    word's length by its growth, and ``matches`` tries only the moves whose
+    result has one of the lengths it is given, insertions included:
+    ``bfs_equal`` gives its last layer the lengths the other side holds, so
+    the moves skipped could not hit, and witnesses and their step order are
+    unchanged.
     """
 
-    __slots__ = ("rules", "by_first", "inserts")
+    __slots__ = ("rules", "by_first", "inserts", "growths")
 
     def __init__(self, rules):
         self.rules = rules
-        self.by_first = {}  # first code of src -> [(move, src, dst, growth)]
+        self.by_first = {}  # first character of src -> [(move, src, dst, growth)]
         self.inserts = []  # [(move, dst)] for moves whose src is empty
+        self.growths = set()  # len(dst) - len(src) over all moves
         for k, rule in enumerate(rules):
-            lhs = tuple(_code(lt) for lt in rule.lhs.letters)
-            rhs = tuple(_code(lt) for lt in rule.rhs.letters)
+            lhs, rhs = _chars(rule.lhs.letters), _chars(rule.rhs.letters)
             for move, src, dst in ((2 * k, lhs, rhs), (2 * k + 1, rhs, lhs)):
+                growth = len(dst) - len(src)
+                self.growths.add(growth)
                 if src:
-                    self.by_first.setdefault(src[0], []).append(
-                        (move, src, dst, len(dst) - len(src))
-                    )
+                    self.by_first.setdefault(src[0], []).append((move, src, dst, growth))
                 else:
                     self.inserts.append((move, dst))
 
-    def matches(self, word, max_len):
-        """Every (move, position, dst, len(src)) that rewrites word within
-        max_len, in database order of the moves, then left to right."""
-        room = max_len - len(word)
+    def matches(self, word, lengths):
+        """Every (move, position, dst, len(src)) that rewrites word into a word
+        whose length is in lengths, in database order of the moves, then left
+        to right."""
+        size = len(word)
+        fits = {growth for growth in self.growths if size + growth in lengths}
+        if not fits:
+            return []
         found = []
         for p, c in enumerate(word):
             for move, src, dst, growth in self.by_first.get(c, ()):
-                if growth <= room and word[p : p + len(src)] == src:
+                if growth in fits and word.startswith(src, p):
                     found.append((move, p, dst, len(src)))
         for move, dst in self.inserts:
-            if len(dst) <= room:
-                found.extend(
-                    zip(repeat(move), range(len(word) + 1), repeat(dst), repeat(0))
-                )
+            if len(dst) in fits:
+                found.extend(zip(repeat(move), range(size + 1), repeat(dst), repeat(0)))
         found.sort()
         return found
 
@@ -495,6 +507,10 @@ def bfs_equal(w1: GroupWord, w2: GroupWord, depth: int = 6) -> EqualityResult:
     max(len(w1), len(w2)) + 2 * depth letters.
     Unknown is never a claim of inequality. Exploration order (rules in
     database order, positions left to right) makes the witness deterministic.
+    The search words are ``str``s, one character per letter. The last layer
+    is only looked up in the other side's map, so it tries only the moves
+    whose result has a length that map holds; the moves it skips cannot hit,
+    and the witness and its step order are those of the full search.
     Raises NegativeDepthError if depth < 0.
     """
     if w1.flavor != w2.flavor or w1.n != w2.n:
@@ -503,11 +519,11 @@ def bfs_equal(w1: GroupWord, w2: GroupWord, depth: int = 6) -> EqualityResult:
         raise NegativeDepthError(f"search depth must be >= 0, got {depth}")
     if w1.letters == w2.letters:
         return EqualityResult(True, ())
-    max_len = max(len(w1), len(w2)) + 2 * depth
+    stored = range(max(len(w1), len(w2)) + 2 * depth + 1)
     engine = rewrite_engine(w1.flavor, w1.n)
 
-    start_f = tuple(_code(lt) for lt in w1.letters)
-    start_b = tuple(_code(lt) for lt in w2.letters)
+    start_f = _chars(w1.letters)
+    start_b = _chars(w2.letters)
     # each visited word maps to (parent, move, position), roots to None
     fwd = {start_f: None}
     bwd = {start_b: None}
@@ -523,11 +539,13 @@ def bfs_equal(w1: GroupWord, w2: GroupWord, depth: int = 6) -> EqualityResult:
         other = bwd if expand_forward else fwd
         new_frontier = []
         # the last layer is never expanded, so its words are only looked up
-        # in the other map; a word already seen cannot be there, or the
-        # search would have stopped when it entered the second map
+        # in the other map, and only lengths that map holds can hit; a word
+        # already seen cannot be there, or the search would have stopped
+        # when it entered the second map
         last = used == depth - 1
+        lengths = set(map(len, other)) if last else stored
         for word in frontier:
-            for move, p, dst, k in engine.matches(word, max_len):
+            for move, p, dst, k in engine.matches(word, lengths):
                 nxt = word[:p] + dst + word[p + k :]
                 if last:
                     if nxt not in other:

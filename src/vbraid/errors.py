@@ -116,4 +116,5 @@ class LaurentTermError(VbraidError, ValueError):
 class ShapeError(VbraidError, TypeError):
     """A value type given a container, or an element of one, of the wrong type:
     a word's letters not ``Letter``s, a matrix entry not a ``LaurentPoly``, an
-    image not a ``FreeWord``, or a non-iterable where a sequence is expected."""
+    image not a ``FreeWord``, a non-iterable where a sequence is expected, or
+    text given to a JSON decoder that is not JSON."""

@@ -176,6 +176,14 @@ def _json_int(x):
         raise LaurentTermError(f"JSON term {x!r} is not an integer") from None
 
 
+def json_loads(text, what):
+    """json.loads for the decoder of `what`: text that is not JSON raises ShapeError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ShapeError(f"{what} text is not JSON: {exc}") from None
+
+
 class LaurentPoly:
     """An element of Z[t, t^-1], built from a mapping exponent -> coefficient.
 
@@ -411,8 +419,9 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, text):
-        """Decode to_json's text; bad terms raise as in from_json_obj."""
-        return cls.from_json_obj(json.loads(text))
+        """Decode to_json's text; text that is not JSON raises ShapeError, and
+        bad terms raise as in from_json_obj."""
+        return cls.from_json_obj(json_loads(text, "a Laurent polynomial's"))
 
 
 ZERO = LaurentPoly()

@@ -20,7 +20,7 @@ from .errors import (
     ShapeError,
     as_count,
 )
-from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly
+from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly, json_loads
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -93,7 +93,9 @@ class LPMatrix:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
+        """Decode to_json's text; text that is not JSON raises ShapeError, and
+        the rest as in from_json_obj."""
+        return cls.from_json_obj(json_loads(text, "a matrix's"))
 
 
 @lru_cache(maxsize=64)

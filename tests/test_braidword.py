@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import random_word
+from conftest import random_letter, random_word
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -450,9 +450,33 @@ def _random_rewrites(rng, w, steps):
     return w.replace(letters)
 
 
+def _insert_letter(rng, w):
+    """w with one random letter inserted: the length parity differs, so no
+    word of the last layer can hit and the search prunes all of it."""
+    p = rng.randint(0, len(w))
+    return w.replace(w.letters[:p] + (random_letter(rng, w.flavor, w.n),) + w.letters[p:])
+
+
+# (n, w1, w2, depth) searched beside the random pairs
+FIXED_SEARCHES = {
+    # the forbidden move: a relator in bp, not derivable in vb
+    Flavor.BP: [(3, "s1 s2 z1", "z2 s1 s2", 5)],
+    Flavor.VB: [
+        (3, "s1 s2 z1", "z2 s1 s2", 5),
+        # from n = 44 on, the letters of index 43 are past Latin-1
+        (44, "z42 z43 s42", "s43 z42 z43", 2),
+        (44, "s43 s42 s43", "s42 s43 s42 z43 z43", 2),
+        (44, "s43 s41", "s41 s43", 1),
+        (44, "s43 z43", "z43 s43 s42", 2),
+        (44, "s43 z41", "z43 s41", 2),
+    ],
+}
+
+
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_compiled_search_matches_reference(flavor):
     rng = random.Random(f"compiled-search:{flavor.value}")
+    insert_rng = random.Random(f"compiled-search-insert:{flavor.value}")
     answers = set()
     for n in range(2, 7):
         for depth in range(5):
@@ -461,10 +485,16 @@ def test_compiled_search_matches_reference(flavor):
                 for w2 in (
                     _random_rewrites(rng, w1, rng.randrange(1, 4)),
                     random_word(rng, flavor, n, rng.randrange(0, 4)),
+                    _insert_letter(insert_rng, w1),
                 ):
                     expected = reference_bfs_equal(w1, w2, depth)
                     assert bfs_equal(w1, w2, depth) == expected, (n, depth, w1, w2)
                     answers.add((expected.equal, bool(expected.witness)))
+    for n, text1, text2, depth in FIXED_SEARCHES.get(flavor, ()):
+        w1, w2 = parse_word(text1, flavor, n), parse_word(text2, flavor, n)
+        expected = reference_bfs_equal(w1, w2, depth)
+        assert bfs_equal(w1, w2, depth) == expected, (n, depth, text1, text2)
+        answers.add((expected.equal, bool(expected.witness)))
     # both answers, and witnesses with steps, came up
     assert answers == {(False, False), (True, False), (True, True)}
 

@@ -375,7 +375,7 @@ chain_ops = st.lists(
 )
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.one_of(small_terms, wide_terms), min_size=2, max_size=4), chain_ops)
 def test_chains_keep_bits_a_bound_and_match_dict_oracle(starts, ops):
     """Chains of +, * and exact_div, whose products carry loose `bits` bounds

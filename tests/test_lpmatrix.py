@@ -347,6 +347,8 @@ MALFORMED_JSON = [
     (LaurentPoly.from_json, "[1]", ShapeError),
     (LaurentPoly.from_json, "5", ShapeError),
     (LaurentPoly.from_json, '"x"', ShapeError),
+    (LPMatrix.from_json, "{", ShapeError),  # not JSON at all
+    (LaurentPoly.from_json, "{", ShapeError),
 ]
 
 
@@ -356,10 +358,16 @@ MALFORMED_JSON = [
     ids=[f"{decode.__self__.__name__}:{text}" for decode, text, _ in MALFORMED_JSON],
 )
 def test_malformed_json_raises_typed_errors(decode, text, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         decode(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        # the parser's own error is not chained onto the typed one
+        assert raised.value.__suppress_context__
+        return
     with pytest.raises(error):
-        decode.__self__.from_json_obj(json.loads(text))
+        decode.__self__.from_json_obj(obj)
 
 
 def test_non_square_rejected():
