@@ -111,7 +111,7 @@ def _run(args) -> int:
 
     if args.command == "verify":
         lo, hi = args.n
-        checks = args.reps.split(",") if args.reps else None
+        checks = None if args.reps is None else args.reps.split(",")
         records = verify_range(args.flavor, lo, hi, checks)
         if args.json:
             out.write(json.dumps([r.to_json_obj() for r in records]) + "\n")

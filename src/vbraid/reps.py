@@ -17,6 +17,14 @@ Computed determinants are det(Burau(s_i)) = -t and det(Burau(z_i)) = -1.
 (The source presentation of these matrices states the two values with the
 attribution swapped; the computed values are used throughout, and the
 abelianization onto Z/2 + Z is unaffected.)
+
+Each of `burau`, `aut_rep`, `perm_proj` and `abelianize` is one core plus
+an assembly step. The core (`burau_rows`, `aut_images`, `perm_strands`,
+`abelian_pair`) computes only what the word changes: the touched Burau rows,
+the touched Aut images, the strand order and the pair of counts. The public
+function assembles the validated `LPMatrix`, `FreeAut`, `Permutation` or
+`AbelianImage` from it. `verify` compares the cores of a relator's two sides
+directly, so a relator costs O(letters) there, whatever n is.
 """
 
 from __future__ import annotations
@@ -66,20 +74,19 @@ def _combine(a, ra, b, rb):
     return out
 
 
-def burau(w: GroupWord) -> LPMatrix:
-    """Burau image of a word: the product M(lk) ... M(l1) of generator matrices.
+def burau_rows(w: GroupWord) -> dict:
+    """The rows of the Burau image that the word touches: the core of `burau`.
 
     Each generator matrix is the identity outside one 2x2 block, so a letter
-    at index i rewrites only rows i and i+1. Only the rows the word touches
-    are kept, each as a sparse {column: nonzero entry} map, and only their
-    nonzero entries are combined; every other row stays an identity row,
-    shared from `identity_rows`. The cost is O(letters x touched entries)
-    plus one O(n^2) copy into the result.
+    at index i rewrites only rows i and i+1 (0-based). Each row the word
+    touches is kept as a sparse {column: nonzero entry} map, and only their
+    nonzero entries are combined; a row not in the result is the identity
+    row r, {r: ONE}. A touched row may have returned to that identity row.
+    The cost is O(letters x touched entries), whatever n is.
     """
     _require_rep_flavor(w)
-    # row -> {column: nonzero entry} for each touched row; a row not here is
-    # identity row r, {r: ONE}. A touched row is never empty (the matrix is
-    # invertible), so `or` tells the two apart.
+    # a touched row is never empty (the matrix is invertible), so `or` tells
+    # a touched row from an untouched one
     touched = {}
     for lt in w.letters:
         i = lt.index - 1
@@ -94,6 +101,17 @@ def burau(w: GroupWord) -> LPMatrix:
         else:
             # inverse block [[0, 1], [t^-1, 1 - t^-1]]
             touched[i], touched[i + 1] = rj, _combine(T_INV, ri, _ONE_MINUS_TINV, rj)
+    return touched
+
+
+def burau(w: GroupWord) -> LPMatrix:
+    """Burau image of a word: the product M(lk) ... M(l1) of generator matrices.
+
+    Assembled from `burau_rows`: every row the word does not touch stays an
+    identity row, shared from `identity_rows`, so the cost is that of the
+    touched rows plus one O(n^2) copy into the result.
+    """
+    touched = burau_rows(w)
     rows = list(identity_rows(w.n))
     zeros = [ZERO] * w.n
     for r, entries in touched.items():
@@ -104,37 +122,59 @@ def burau(w: GroupWord) -> LPMatrix:
     return LPMatrix(rows)
 
 
-def aut_rep(w: GroupWord) -> FreeAut:
-    """The representation in Aut F_n through the braid-permutation group.
+def aut_images(w: GroupWord) -> dict:
+    """The images of x_1, ..., x_n that the word touches: the core of `aut_rep`.
 
     Built from the right as acc = acc o rho(l) for l = lk, ..., l1: a letter
     at index i changes only the images a, b of x_i, x_{i+1}, to (b, a) for
-    z_i, (b, b^-1 a b) for s_i and (a b a^-1, a) for s_i^-1. It starts from
-    the identity images, built once per n and shared (a FreeWord is
-    immutable), so the cost is that of the images the word touches plus one
-    O(n) copy and the FreeAut check.
+    z_i, (b, b^-1 a b) for s_i and (a b a^-1, a) for s_i^-1. Returns
+    {i: image of x_(i+1)} for each image touched; any other image is x_(i+1)
+    itself, `identity_images(n)[i]`, and a touched one may have returned to
+    it. The cost is that of the images the word touches, whatever n is.
     """
     _require_rep_flavor(w)
-    images = list(identity_images(w.n))
+    identity = identity_images(w.n)
+    touched = {}
     for lt in reversed(w.letters):
         i = lt.index - 1
-        a, b = images[i], images[i + 1]
+        a, b = touched.get(i, identity[i]), touched.get(i + 1, identity[i + 1])
         if lt.kind == "z":
-            images[i], images[i + 1] = b, a
+            touched[i], touched[i + 1] = b, a
         elif lt.exponent == 1:
-            images[i], images[i + 1] = b, b.inverse() * a * b
+            touched[i], touched[i + 1] = b, b.inverse() * a * b
         else:
-            images[i], images[i + 1] = a * b * a.inverse(), a
+            touched[i], touched[i + 1] = a * b * a.inverse(), a
+    return touched
+
+
+def aut_rep(w: GroupWord) -> FreeAut:
+    """The representation in Aut F_n through the braid-permutation group.
+
+    Assembled from `aut_images` over the identity images, which are built
+    once per n and shared (a FreeWord is immutable), so the cost is that of
+    the touched images plus one O(n) copy and the FreeAut check.
+    """
+    images = list(identity_images(w.n))
+    for i, img in aut_images(w).items():
+        images[i] = img
     return FreeAut(w.n, images)
 
 
-def perm_proj(w: GroupWord) -> Permutation:
-    """Projection onto the symmetric group: every letter to the transposition (i, i+1)."""
+def perm_strands(w: GroupWord) -> list:
+    """The core of `perm_proj`: at[p] is the strand at position p after the
+    word, for p in 1..n (at[0] is 0), each letter swapping positions i, i+1."""
     _require_rep_flavor(w)
-    at = list(range(w.n + 1))  # at[p] = strand now at position p
+    at = list(range(w.n + 1))
     for lt in w.letters:
         i = lt.index
         at[i], at[i + 1] = at[i + 1], at[i]
+    return at
+
+
+def perm_proj(w: GroupWord) -> Permutation:
+    """Projection onto the symmetric group: every letter to the transposition
+    (i, i+1). Assembled from `perm_strands`: strand at[p] ends at position p."""
+    at = perm_strands(w)
     images = [0] * w.n
     for p in range(1, w.n + 1):
         images[at[p] - 1] = p
@@ -165,7 +205,12 @@ class AbelianImage:
         return asdict(self)
 
 
-def abelianize(w: GroupWord) -> AbelianImage:
+def abelian_pair(w: GroupWord) -> tuple:
+    """The core of `abelianize`: (zeta_count mod 2, exp_sum)."""
     if w.flavor not in (Flavor.VB, Flavor.BP):
         raise FlavorError(f"abelianize expects vb or bp, got {w.flavor.value}")
-    return AbelianImage(zeta_count(w) % 2, exp_sum(w))
+    return zeta_count(w) % 2, exp_sum(w)
+
+
+def abelianize(w: GroupWord) -> AbelianImage:
+    return AbelianImage(*abelian_pair(w))

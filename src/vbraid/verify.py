@@ -5,6 +5,14 @@ reports exact pass/fail per (relator, check). Group flavors with
 representations are checked there; the monoid flavors, which carry no
 matrix or automorphism image here, are checked by the bounded rewrite
 search instead.
+
+A relator side has a few letters and touches a few of its n strands, so a
+map's check compares keys built from the cores in `reps`, never the n x n
+images: the Burau rows and the Aut images the side touches, less those that
+have returned to the identity, the strand order and the abelian counts.
+Untouched rows and images are the identity on both sides, so two keys are
+equal exactly when the two images are, and a relator costs O(letters) per
+check. On a FAIL the record's detail names the first component that differs.
 """
 
 from __future__ import annotations
@@ -12,16 +20,47 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .braidword import Flavor, Presentation, bfs_equal, relators
-from .errors import CheckNotApplicableError, StrandCountError
-from .reps import abelianize, aut_rep, burau, exp_sum, perm_proj
+from .errors import CheckNotApplicableError, ShapeError, StrandCountError
+from .freegrp import identity_images
+from .laurent import ONE
+from .reps import abelian_pair, aut_images, burau_rows, exp_sum, perm_strands
 
-# every check but "bfs" compares the images of a relator's two sides under a map
+_BFS_DEPTH = 2
+
+
+def _burau_key(w):
+    """row -> sparse row for each Burau row that is not the identity row."""
+    return {r: row for r, row in burau_rows(w).items() if row != {r: ONE}}
+
+
+def _aut_key(w):
+    """i -> image of x_(i+1) for each Aut image that is not x_(i+1)."""
+    identity = identity_images(w.n)
+    return {i: img for i, img in aut_images(w).items() if img != identity[i]}
+
+
+def _first_diff(a, b):
+    """The least index at which two keys differ: dicts over the union of their
+    indices (an absent index is the identity), sequences position by position."""
+    if isinstance(a, dict):
+        return min(i for i in a.keys() | b.keys() if a.get(i) != b.get(i))
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
+def _abelian_detail(a, b):
+    i = _first_diff(a, b)
+    return f"{('zeta_parity', 'sigma_sum')[i]} {a[i]} vs {b[i]}"
+
+
+# every check but "bfs" compares a key of a relator's two sides under a map,
+# built from the map's core in `reps`; key equality is image equality. The
+# second function names the first differing component of two unequal keys.
 _MAPS = {
-    "burau": burau,
-    "aut": aut_rep,
-    "perm": perm_proj,
-    "exp_sum": exp_sum,
-    "abelianize": abelianize,
+    "burau": (_burau_key, lambda a, b: f"Burau row {_first_diff(a, b) + 1}"),
+    "aut": (_aut_key, lambda a, b: f"Aut image of x{_first_diff(a, b) + 1}"),
+    "perm": (perm_strands, lambda a, b: f"strand at position {_first_diff(a, b)}"),
+    "exp_sum": (exp_sum, lambda a, b: f"exp_sum {a} vs {b}"),
+    "abelianize": (abelian_pair, _abelian_detail),
 }
 
 CHECKS_BY_FLAVOR = {
@@ -40,35 +79,63 @@ class CheckRecord:
     relator: str
     check: str
     passed: bool
+    detail: str | None = None  # on a FAIL, the first component that differs
 
     def to_json_obj(self):
-        return asdict(self)
+        obj = asdict(self)
+        if self.detail is None:
+            del obj["detail"]
+        return obj
 
     def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        return f"n={self.n} {self.relator} {self.check} {status}"
+        if self.passed:
+            return f"n={self.n} {self.relator} {self.check} PASS"
+        detail = "" if self.detail is None else f" ({self.detail})"
+        return f"n={self.n} {self.relator} {self.check} FAIL{detail}"
+
+
+def _select_checks(flavor, checks):
+    """The checks to run, as a tuple: the flavor's default set for None.
+
+    Raises ShapeError for a bare string or a value that is not iterable, and
+    CheckNotApplicableError for an empty selection or a check the flavor
+    does not have.
+    """
+    if checks is None:
+        return CHECKS_BY_FLAVOR[flavor]
+    if isinstance(checks, str):
+        raise ShapeError(f"checks must be a sequence of check names, got the string {checks!r}")
+    try:
+        checks = tuple(checks)
+    except TypeError:
+        raise ShapeError(f"checks must be a sequence of check names, got {checks!r}") from None
+    if not checks:
+        raise CheckNotApplicableError("no checks selected")
+    allowed = CHECKS_BY_FLAVOR[flavor]
+    bad = [c for c in checks if c not in allowed]
+    if bad:
+        raise CheckNotApplicableError(f"checks {bad} not applicable to flavor {flavor.value}")
+    return checks
 
 
 def verify_presentation(pres: Presentation, checks=None):
     """Run the chosen checks on every relator; records in database order."""
-    if checks is None:
-        checks = CHECKS_BY_FLAVOR[pres.flavor]
-    else:
-        allowed = set(CHECKS_BY_FLAVOR[pres.flavor])
-        bad = [c for c in checks if c not in allowed]
-        if bad:
-            raise CheckNotApplicableError(
-                f"checks {bad} not applicable to flavor {pres.flavor.value}"
-            )
+    checks = _select_checks(pres.flavor, checks)
     records = []
     for rel in pres.relators:
         for name in checks:
+            detail = None
             if name == "bfs":
-                passed = bool(bfs_equal(rel.lhs, rel.rhs, depth=2))
+                passed = bool(bfs_equal(rel.lhs, rel.rhs, depth=_BFS_DEPTH))
+                if not passed:
+                    detail = f"no derivation within {_BFS_DEPTH} steps"
             else:
-                f = _MAPS[name]
-                passed = f(rel.lhs) == f(rel.rhs)
-            records.append(CheckRecord(pres.n, rel.name, name, passed))
+                key, describe = _MAPS[name]
+                a, b = key(rel.lhs), key(rel.rhs)
+                passed = a == b
+                if not passed:
+                    detail = describe(a, b)
+            records.append(CheckRecord(pres.n, rel.name, name, passed, detail))
     return records
 
 
@@ -80,6 +147,7 @@ def verify_range(flavor, n_lo: int, n_hi: int, checks=None):
     flavor = Flavor(flavor)
     if n_lo > n_hi:
         raise StrandCountError(f"empty strand range {n_lo}..{n_hi}")
+    checks = _select_checks(flavor, checks)
     records = []
     for n in range(n_lo, n_hi + 1):
         records.extend(verify_presentation(relators(flavor, n), checks))

@@ -2,12 +2,14 @@ import random
 
 from hypothesis import strategies as st
 
-from vbraid.braidword import Flavor, GroupWord, Letter
+from vbraid.braidword import Flavor, GroupWord, Letter, bfs_equal
 from vbraid.errors import InexactDivisionError, NonUnitDeterminantError, SizeMismatchError
 from vbraid.freegrp import FreeAut, FreeWord, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import LPMatrix, identity_rows, mat_mul
 from vbraid.perm import Permutation
+from vbraid.reps import abelianize, aut_rep, burau, exp_sum, perm_proj
+from vbraid.verify import CHECKS_BY_FLAVOR, CheckRecord
 
 
 def random_letter(rng, flavor, n):
@@ -157,6 +159,57 @@ def aut_product(w):
     for lt in w.letters:
         f = aut_compose(aut_generator(lt, w.n), f)
     return f
+
+
+IMAGE_MAPS = {
+    "burau": burau,
+    "aut": aut_rep,
+    "perm": perm_proj,
+    "exp_sum": exp_sum,
+    "abelianize": abelianize,
+}
+
+
+def image_detail(check, a, b):
+    """Oracle: the first component in which the unequal public images a and b
+    of a check's map differ, read off the images themselves."""
+    if check == "burau":
+        r = next(r for r, (x, y) in enumerate(zip(a.entries, b.entries), start=1) if x != y)
+        return f"Burau row {r}"
+    if check == "aut":
+        i = next(i for i, (x, y) in enumerate(zip(a.images, b.images), start=1) if x != y)
+        return f"Aut image of x{i}"
+    if check == "perm":
+        # the inverse sends a position to the strand that ends there
+        a, b = a.inverse(), b.inverse()
+        p = next(p for p in range(1, a.n + 1) if a(p) != b(p))
+        return f"strand at position {p}"
+    if check == "exp_sum":
+        return f"exp_sum {a} vs {b}"
+    name = next(f for f in ("zeta_parity", "sigma_sum") if getattr(a, f) != getattr(b, f))
+    return f"{name} {getattr(a, name)} vs {getattr(b, name)}"
+
+
+def image_verify_presentation(pres, checks=None):
+    """Oracle: verify_presentation as first written. Each check compares the
+    public images of a relator's two sides (an n x n LPMatrix, a FreeAut of n
+    images, an n-point Permutation), and a FAIL's detail is read off them."""
+    records = []
+    for rel in pres.relators:
+        for check in checks or CHECKS_BY_FLAVOR[pres.flavor]:
+            detail = None
+            if check == "bfs":
+                passed = bool(bfs_equal(rel.lhs, rel.rhs, depth=2))
+                if not passed:
+                    detail = "no derivation within 2 steps"
+            else:
+                f = IMAGE_MAPS[check]
+                a, b = f(rel.lhs), f(rel.rhs)
+                passed = a == b
+                if not passed:
+                    detail = image_detail(check, a, b)
+            records.append(CheckRecord(pres.n, rel.name, check, passed, detail))
+    return records
 
 
 def p_compose(f, g):

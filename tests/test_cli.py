@@ -117,6 +117,9 @@ class TestVerify:
     def test_inapplicable_reps_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "--flavor", "sb", "-n", "3", "--reps", "burau")
         assert code == 3
+        # an empty selection is refused, not read as the default set
+        code, out, _ = run(capsys, "verify", "--flavor", "vb", "-n", "3", "--reps", "")
+        assert code == 3 and out == ""
 
     def test_range_below_two_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "-n", "1..3")

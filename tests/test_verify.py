@@ -1,8 +1,17 @@
-import pytest
+from collections import Counter
 
-from vbraid.braidword import Flavor, Presentation, Relator, parse_word, relators
-from vbraid.errors import CheckNotApplicableError, StrandCountError
-from vbraid.verify import CheckRecord, verify_presentation, verify_range
+import pytest
+from conftest import IMAGE_MAPS, image_detail, image_verify_presentation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vbraid.braidword import Flavor, GroupWord, Letter, Presentation, Relator, parse_word, relators
+from vbraid.errors import CheckNotApplicableError, ShapeError, StrandCountError
+from vbraid.freegrp import FreeAut
+from vbraid.lpmatrix import LPMatrix
+from vbraid.perm import Permutation
+from vbraid.reps import AbelianImage, burau
+from vbraid.verify import _MAPS, CheckRecord, verify_presentation, verify_range
 
 
 def test_all_flavors_pass_small():
@@ -36,6 +45,28 @@ def test_check_subset():
 def test_inapplicable_check_typed():
     with pytest.raises(CheckNotApplicableError):
         verify_range("sb", 3, 3, checks=("burau",))
+    # an empty selection would pass vacuously
+    for empty in ((), [], iter(())):
+        with pytest.raises(CheckNotApplicableError):
+            verify_range("vb", 2, 4, checks=empty)
+        with pytest.raises(CheckNotApplicableError):
+            verify_presentation(relators("vb", 3), empty)
+    # a bare string is not a sequence of names: "perm" is not p, e, r, m
+    for not_names in ("perm", "", 5):
+        with pytest.raises(ShapeError):
+            verify_range("vb", 2, 4, checks=not_names)
+        with pytest.raises(ShapeError):
+            verify_presentation(relators("vb", 3), not_names)
+
+
+def test_checks_read_once():
+    """An iterator of checks is taken once, and serves every n of a range."""
+    want = verify_range("vb", 2, 4, checks=("perm",))
+    assert len(want) == 19
+    assert verify_range("vb", 2, 4, checks=iter(["perm"])) == want
+    assert verify_presentation(relators("vb", 3), iter(["perm"])) == [
+        r for r in want if r.n == 3
+    ]
 
 
 def test_bad_strand_range_typed():
@@ -52,16 +83,18 @@ def test_inapplicable_check_rejected():
         verify_range("vb", 3, 3, checks=("bfs",))
 
 
+def corrupted(flavor, n, lhs, rhs):
+    """The flavor's presentation on n strands plus the relator bogus:1, lhs = rhs."""
+    bad = Relator("bogus:1", parse_word(lhs, flavor, n), parse_word(rhs, flavor, n))
+    pres = relators(flavor, n)
+    return Presentation(pres.flavor, n, pres.relators + (bad,))
+
+
 def test_injected_fault_is_detected():
     # a deliberately wrong relator must produce FAIL records, not crash
-    bad = Relator(
-        "bogus:1",
-        parse_word("s1 s2", "vb", 3),
-        parse_word("s2 s1", "vb", 3),
-    )
-    pres = relators("vb", 3)
-    corrupted = Presentation(Flavor.VB, 3, pres.relators + (bad,))
-    records = verify_presentation(corrupted)
+    pres = corrupted("vb", 3, "s1 s2", "s2 s1")
+    records = verify_presentation(pres)
+    assert records == image_verify_presentation(pres)
     bogus = [r for r in records if r.relator == "bogus:1"]
     assert bogus
     assert not all(r.passed for r in bogus)
@@ -69,6 +102,108 @@ def test_injected_fault_is_detected():
     by_check = {r.check: r.passed for r in bogus}
     assert by_check["exp_sum"] and by_check["abelianize"]
     assert not by_check["burau"] and not by_check["perm"]
+    # a FAIL names the first component that differs; a PASS names none
+    detail = {r.check: r.detail for r in bogus}
+    assert detail == {
+        "burau": "Burau row 1",
+        "aut": "Aut image of x1",
+        "perm": "strand at position 1",
+        "exp_sum": None,
+        "abelianize": None,
+    }
+    fail = next(r for r in bogus if r.check == "perm")
+    assert fail.line() == "n=3 bogus:1 perm FAIL (strand at position 1)"
+    assert fail.to_json_obj()["detail"] == "strand at position 1"
+    assert "detail" not in next(r for r in bogus if r.passed).to_json_obj()
+    # the counts name the value on each side
+    pres = corrupted("vb", 4, "s1 s3 z2", "s1^-1 s3^-1 z2")
+    bogus = {r.check: r for r in verify_presentation(pres) if r.relator == "bogus:1"}
+    assert verify_presentation(pres) == image_verify_presentation(pres)
+    assert bogus["exp_sum"].detail == "exp_sum 2 vs -2"
+    assert bogus["abelianize"].detail == "sigma_sum 2 vs -2"
+    assert bogus["perm"].passed and bogus["perm"].detail is None
+    pres = corrupted("bp", 3, "z1 s2", "s2")
+    bogus = {r.check: r for r in verify_presentation(pres) if r.relator == "bogus:1"}
+    assert bogus["abelianize"].detail == "zeta_parity 1 vs 0"
+    assert bogus["exp_sum"].passed
+    # the monoid flavors' bounded search reports its depth
+    pres = corrupted("sb", 3, "a1", "a2")
+    bogus = [r for r in verify_presentation(pres) if r.relator == "bogus:1"]
+    assert [r.line() for r in bogus] == ["n=3 bogus:1 bfs FAIL (no derivation within 2 steps)"]
+    assert verify_presentation(pres) == image_verify_presentation(pres)
+
+
+@pytest.mark.parametrize("flavor", [f.value for f in Flavor])
+def test_records_match_image_oracle(flavor):
+    """Comparing the touched rows, images and points gives the records that
+    comparing the whole public images gives."""
+    for n in range(2, 9):
+        pres = relators(flavor, n)
+        assert verify_presentation(pres) == image_verify_presentation(pres)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words of one rep flavor on 2..12 strands. The second is drawn
+    independently, as the first with its letters shuffled, or as the first with
+    l l^-1 or z_i z_i inserted, which touches rows and images that return to
+    the identity. With `last` every letter sits on the last three strands."""
+    flavor = Flavor(draw(st.sampled_from(("vb", "bp", "br", "sym"))))
+    n = draw(st.integers(2, 12))
+    kinds = {Flavor.BR: "s", Flavor.SYM: "z"}.get(flavor, "sz")
+    low = max(1, n - 2) if draw(st.booleans()) else 1
+    letter = st.builds(
+        lambda kind, i, e: Letter(kind, i, 1 if kind == "z" else e),
+        st.sampled_from(kinds),
+        st.integers(low, n - 1),
+        st.sampled_from([1, -1]),
+    )
+    first = draw(st.lists(letter, max_size=8))
+    how = draw(st.sampled_from(("independent", "shuffled", "inserted")))
+    if how == "independent":
+        second = draw(st.lists(letter, max_size=8))
+    elif how == "shuffled":
+        second = draw(st.permutations(first))
+    else:
+        second = list(first)
+        for lt in draw(st.lists(letter, min_size=1, max_size=3)):
+            at = draw(st.integers(0, len(second)))
+            second[at:at] = [lt, lt.inverse()]
+    return GroupWord(flavor, n, first), GroupWord(flavor, n, second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_pairs())
+def test_keys_equal_exactly_when_images_do(pair):
+    w1, w2 = pair
+    for check, (key, describe) in _MAPS.items():
+        if check == "abelianize" and w1.flavor not in (Flavor.VB, Flavor.BP):
+            continue
+        image = IMAGE_MAPS[check]
+        a, b = image(w1), image(w2)
+        k1, k2 = key(w1), key(w2)
+        assert (k1 == k2) == (a == b), check
+        if k1 != k2:
+            assert describe(k1, k2) == image_detail(check, a, b)
+
+
+def test_verify_builds_no_images(monkeypatch):
+    """A relator is decided from what its sides touch: verifying VB_30 builds
+    no n x n matrix, no n images and no n-point permutation."""
+    pres = relators("vb", 30)
+    built = Counter()
+    for cls in (LPMatrix, FreeAut, Permutation, AbelianImage):
+
+        def counting(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    records = verify_presentation(pres)
+    assert records and all(r.passed for r in records)
+    assert not built
+    burau(pres.relators[0].lhs)  # the counting does see a public image
+    assert built == {"LPMatrix": 1}
 
 
 def test_records_in_database_order_and_deterministic():
