@@ -7,6 +7,19 @@ starts below 2 or is not N or LO..HI, is a parse error (exit 2).
 VBRAID_BFS_DEPTH overrides the default search depth; a value that is not a
 non-negative integer, in it or in --depth, is a parse error (exit 2).
 main returns the exit code of every outcome, argparse's own included.
+--json makes every subcommand print JSON; reduce and closure-gauss print their
+text as a JSON string.
+
+Each run is a fresh interpreter, so each subcommand imports only the modules
+its computation calls, inside its branch of _run. Besides vbraid, cli,
+braidword and errors, which every run loads:
+
+    reduce, equal   nothing
+    perm            reps, laurent, freegrp, perm
+    abelianize      reps, laurent, freegrp
+    closure-gauss   gauss, reps, laurent, freegrp, perm
+    burau, det      reps, laurent, freegrp, lpmatrix
+    verify          verify, reps, laurent, freegrp
 """
 
 from __future__ import annotations
@@ -25,10 +38,6 @@ from .errors import (
     VbraidError,
     WordSyntaxError,
 )
-from .gauss import closure_code
-from .lpmatrix import mat_det
-from .reps import abelianize, burau, perm_proj
-from .verify import verify_range
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -110,6 +119,8 @@ def _run(args) -> int:
     out = sys.stdout
 
     if args.command == "verify":
+        from .verify import verify_range
+
         lo, hi = args.n
         checks = None if args.reps is None else args.reps.split(",")
         records = verify_range(args.flavor, lo, hi, checks)
@@ -153,22 +164,35 @@ def _run(args) -> int:
     word = parse_word(args.word, args.flavor, args.n)
 
     if args.command == "reduce":
-        out.write(str(free_reduce(word)) + "\n")
+        text = str(free_reduce(word))
+        out.write((json.dumps(text) if args.json else text) + "\n")
     elif args.command == "burau":
+        from .reps import burau
+
         out.write(burau(word).to_json() + "\n")
     elif args.command == "det":
+        from .lpmatrix import mat_det
+        from .reps import burau
+
         d = mat_det(burau(word))
         out.write((d.to_json() if args.json else str(d)) + "\n")
     elif args.command == "perm":
+        from .reps import perm_proj
+
         p = perm_proj(word)
         if args.json:
             out.write(json.dumps(list(p.images)) + "\n")
         else:
             out.write(str(p) + "\n")
     elif args.command == "abelianize":
+        from .reps import abelianize
+
         out.write(json.dumps(abelianize(word).to_json_obj(), sort_keys=True) + "\n")
     elif args.command == "closure-gauss":
-        out.write(str(closure_code(word)) + "\n")
+        from .gauss import closure_code
+
+        text = str(closure_code(word))
+        out.write((json.dumps(text) if args.json else text) + "\n")
     return EXIT_OK
 
 

@@ -24,7 +24,10 @@ an assembly step. The core (`burau_rows`, `aut_images`, `perm_strands`,
 the touched Aut images, the strand order and the pair of counts. The public
 function assembles the validated `LPMatrix`, `FreeAut`, `Permutation` or
 `AbelianImage` from it. `verify` compares the cores of a relator's two sides
-directly, so a relator costs O(letters) there, whatever n is.
+directly, so a relator costs O(letters) there, whatever n is. `burau` and
+`perm_proj` import `lpmatrix` and `perm` when they are called, so a caller
+of the cores alone, `verify` or `abelianize` loads neither module. The cores
+import nothing when called: they run thousands of times per verify sweep.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .braidword import Flavor, GroupWord
 from .errors import FlavorError, ParityError
 from .freegrp import FreeAut, identity_images
 from .laurent import ONE, T, T_INV, ZERO
-from .lpmatrix import LPMatrix, identity_rows
-from .perm import Permutation
 
 _REP_FLAVORS = frozenset({Flavor.BR, Flavor.SYM, Flavor.VB, Flavor.BP})
 
@@ -111,6 +112,8 @@ def burau(w: GroupWord) -> LPMatrix:
     identity row, shared from `identity_rows`, so the cost is that of the
     touched rows plus one O(n^2) copy into the result.
     """
+    from .lpmatrix import LPMatrix, identity_rows
+
     touched = burau_rows(w)
     rows = list(identity_rows(w.n))
     zeros = [ZERO] * w.n
@@ -174,6 +177,8 @@ def perm_strands(w: GroupWord) -> list:
 def perm_proj(w: GroupWord) -> Permutation:
     """Projection onto the symmetric group: every letter to the transposition
     (i, i+1). Assembled from `perm_strands`: strand at[p] ends at position p."""
+    from .perm import Permutation
+
     at = perm_strands(w)
     images = [0] * w.n
     for p in range(1, w.n + 1):

@@ -98,8 +98,8 @@ def _select_checks(flavor, checks):
     """The checks to run, as a tuple: the flavor's default set for None.
 
     Raises ShapeError for a bare string or a value that is not iterable, and
-    CheckNotApplicableError for an empty selection or a check the flavor
-    does not have.
+    CheckNotApplicableError for an empty selection, a check named twice or a
+    check the flavor does not have.
     """
     if checks is None:
         return CHECKS_BY_FLAVOR[flavor]
@@ -115,6 +115,9 @@ def _select_checks(flavor, checks):
     bad = [c for c in checks if c not in allowed]
     if bad:
         raise CheckNotApplicableError(f"checks {bad} not applicable to flavor {flavor.value}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1})
+    if repeated:
+        raise CheckNotApplicableError(f"checks {repeated} selected more than once")
     return checks
 
 

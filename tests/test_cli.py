@@ -16,6 +16,12 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", "-n", "2", "s1 s1^-1 z1")
         assert code == 0 and out == "z1\n"
 
+    def test_json_string(self, capsys):
+        code, out, _ = run(capsys, "--json", "reduce", "-n", "3", "s1 s2 s2^-1")
+        assert code == 0 and out == '"s1"\n'
+        code, out, _ = run(capsys, "--json", "reduce", "-n", "2", "s1 s1^-1")
+        assert code == 0 and out == '""\n'
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "reduce", "-n", "2", "q1")
         assert code == 2 and "parse error" in err
@@ -79,6 +85,10 @@ class TestClosureGauss:
         code, out, _ = run(capsys, "closure-gauss", "-n", "2", "s1 s1 s1")
         assert code == 0 and out == "O1U2O3U1O2U3\n"
 
+    def test_json_string(self, capsys):
+        code, out, _ = run(capsys, "--json", "closure-gauss", "-n", "2", "s1 s1 s1")
+        assert code == 0 and out == '"O1U2O3U1O2U3"\n'
+
     def test_not_a_knot_exit_4(self, capsys):
         code, _, err = run(capsys, "closure-gauss", "-n", "2", "s1 s1")
         assert code == 4 and "precondition" in err
@@ -120,6 +130,9 @@ class TestVerify:
         # an empty selection is refused, not read as the default set
         code, out, _ = run(capsys, "verify", "--flavor", "vb", "-n", "3", "--reps", "")
         assert code == 3 and out == ""
+        # a repeated check is refused, not run twice
+        code, out, err = run(capsys, "verify", "--flavor", "vb", "-n", "3", "--reps", "burau,burau")
+        assert code == 3 and out == "" and "'burau'" in err
 
     def test_range_below_two_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "-n", "1..3")

@@ -220,6 +220,21 @@ def test_value_type_contract(name):
 # each: code run in a fresh interpreter, which asserts what importing that much
 # of the package loads and exposes
 VBRAID_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'vbraid')"
+# what every cli run loads, and each subcommand's argv with the modules it adds
+CLI_BASE = ["vbraid", "vbraid.braidword", "vbraid.cli", "vbraid.errors"]
+CLI_RUNS = {
+    "reduce": (["reduce", "-n", "3", "s1 s1^-1 z1"], []),
+    "equal": (["equal", "-n", "3", "--depth", "2", "z1 z1", ""], []),
+    "perm": (["perm", "-n", "3", "s1 s2"], ["freegrp", "laurent", "perm", "reps"]),
+    "abelianize": (["abelianize", "-n", "3", "s1 z2"], ["freegrp", "laurent", "reps"]),
+    "closure-gauss": (
+        ["closure-gauss", "-n", "2", "s1 s1 s1"],
+        ["freegrp", "gauss", "laurent", "perm", "reps"],
+    ),
+    "burau": (["burau", "-n", "2", "s1"], ["freegrp", "laurent", "lpmatrix", "reps"]),
+    "det": (["det", "-n", "3", "s1 z2"], ["freegrp", "laurent", "lpmatrix", "reps"]),
+    "verify": (["verify", "-n", "2..3"], ["freegrp", "laurent", "reps", "verify"]),
+}
 IMPORT_SURFACE = {
     "parse_word loads braidword and errors only": (
         "from vbraid import parse_word\n"
@@ -239,8 +254,18 @@ IMPORT_SURFACE = {
     ),
     "cli submodule": (
         "from vbraid import cli\n"
-        "assert cli.__name__ == 'vbraid.cli' and callable(cli.main)"
+        "assert cli.__name__ == 'vbraid.cli' and callable(cli.main)\n"
+        f"assert {VBRAID_MODULES} == {CLI_BASE}, {VBRAID_MODULES}"
     ),
+    **{
+        f"cli {sub} loads {', '.join(extra) or 'nothing more'}": (
+            "import vbraid.cli\n"
+            f"assert vbraid.cli.main({argv!r}) == 0\n"
+            f"assert {VBRAID_MODULES} == "
+            f"{sorted(CLI_BASE + [f'vbraid.{m}' for m in extra])}, {VBRAID_MODULES}"
+        )
+        for sub, (argv, extra) in CLI_RUNS.items()
+    },
     "star import": (
         "from vbraid import *\n"
         "import vbraid\n"

@@ -51,6 +51,11 @@ def test_inapplicable_check_typed():
             verify_range("vb", 2, 4, checks=empty)
         with pytest.raises(CheckNotApplicableError):
             verify_presentation(relators("vb", 3), empty)
+    # a repeated check would print each of its records twice
+    with pytest.raises(CheckNotApplicableError, match=r"\['burau'\] selected more than once"):
+        verify_range("vb", 2, 4, checks=("burau", "perm", "burau"))
+    with pytest.raises(CheckNotApplicableError, match="more than once"):
+        verify_presentation(relators("vb", 3), ["perm", "perm"])
     # a bare string is not a sequence of names: "perm" is not p, e, r, m
     for not_names in ("perm", "", 5):
         with pytest.raises(ShapeError):
