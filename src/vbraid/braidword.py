@@ -252,6 +252,7 @@ class Presentation:
 def relators(flavor, n: int) -> Presentation:
     """Every instance of every relation schema of the presentation, for given n."""
     flavor = Flavor(flavor)
+    n = as_count(n)
     if n < 2:
         raise StrandCountError(f"presentations require n >= 2, got {n}")
 

@@ -3,9 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 domain
 error, 4 precondition failure, 10 unknown (bounded equality search gave no
 answer; not an error). A negative strand count, a verify range that is empty,
-starts below 2 or is not N or LO..HI, is a parse error (exit 2).
-VBRAID_BFS_DEPTH overrides the default search depth; a value that is not a
-non-negative integer, in it or in --depth, is a parse error (exit 2).
+starts below 2 or is not N or LO..HI, is a parse error (exit 2), and so is
+an equal --depth (default 6) that is not a non-negative integer.
 main returns the exit code of every outcome, argparse's own included.
 --json makes every subcommand print JSON; reduce and closure-gauss print their
 text as a JSON string.
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .braidword import Flavor, bfs_equal, free_reduce, parse_word
@@ -47,16 +45,6 @@ EXIT_PRECONDITION = 4
 EXIT_UNKNOWN = 10
 
 _FLAVORS = [f.value for f in Flavor]
-
-
-def _default_depth():
-    """VBRAID_BFS_DEPTH, default 6; None when it is not a non-negative integer."""
-    text = os.environ.get("VBRAID_BFS_DEPTH", "6")
-    try:
-        depth = int(text)
-    except ValueError:
-        return None
-    return depth if depth >= 0 else None
 
 
 def _parse_range(text):
@@ -108,7 +96,7 @@ def build_parser():
     e = sub.add_parser("equal", help="bounded search for a rewrite derivation")
     e.add_argument("--flavor", choices=_FLAVORS, default="vb")
     e.add_argument("-n", type=int, required=True)
-    e.add_argument("--depth", type=int, default=None)
+    e.add_argument("--depth", type=int, default=6)
     e.add_argument("word1")
     e.add_argument("word2")
 
@@ -132,17 +120,9 @@ def _run(args) -> int:
         return EXIT_OK if all(r.passed for r in records) else EXIT_VERIFY_FAIL
 
     if args.command == "equal":
-        depth = args.depth if args.depth is not None else _default_depth()
-        if depth is None:
-            print(
-                "parse error: VBRAID_BFS_DEPTH must be a non-negative integer, "
-                f"got {os.environ['VBRAID_BFS_DEPTH']!r}",
-                file=sys.stderr,
-            )
-            return EXIT_PARSE
         w1 = parse_word(args.word1, args.flavor, args.n)
         w2 = parse_word(args.word2, args.flavor, args.n)
-        result = bfs_equal(w1, w2, depth)
+        result = bfs_equal(w1, w2, args.depth)
         if args.json:
             obj = {"result": "equal" if result.equal else "unknown"}
             if result.equal:

@@ -280,6 +280,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        if other is ONE:  # a Burau row update meets the identity rows' ONE often
+            return self
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         v1, v2 = self._v, other._v

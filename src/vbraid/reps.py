@@ -24,7 +24,9 @@ an assembly step. The core (`burau_rows`, `aut_images`, `perm_strands`,
 the touched Aut images, the strand order and the pair of counts. The public
 function assembles the validated `LPMatrix`, `FreeAut`, `Permutation` or
 `AbelianImage` from it. `verify` compares the cores of a relator's two sides
-directly, so a relator costs O(letters) there, whatever n is. `burau` and
+directly, so a relator costs O(letters) there, whatever n is. `burau_rows`
+takes the letters alone and reads each a as s, which is how `verify` checks
+the singular flavors through a_i -> s_i^2. `burau` and
 `perm_proj` import `lpmatrix` and `perm` when they are called, so a caller
 of the cores alone, `verify` or `abelianize` loads neither module. The cores
 import nothing when called: they run thousands of times per verify sweep.
@@ -75,21 +77,21 @@ def _combine(a, ra, b, rb):
     return out
 
 
-def burau_rows(w: GroupWord) -> dict:
-    """The rows of the Burau image that the word touches: the core of `burau`.
+def burau_rows(letters) -> dict:
+    """The rows of the Burau image that a word's letters touch: the core of `burau`.
 
     Each generator matrix is the identity outside one 2x2 block, so a letter
     at index i rewrites only rows i and i+1 (0-based). Each row the word
     touches is kept as a sparse {column: nonzero entry} map, and only their
     nonzero entries are combined; a row not in the result is the identity
     row r, {r: ONE}. A touched row may have returned to that identity row.
-    The cost is O(letters x touched entries), whatever n is.
+    The cost is O(letters x touched entries), whatever n is. Every letter but
+    z is read as s, so the caller checks the flavor.
     """
-    _require_rep_flavor(w)
     # a touched row is never empty (the matrix is invertible), so `or` tells
     # a touched row from an untouched one
     touched = {}
-    for lt in w.letters:
+    for lt in letters:
         i = lt.index - 1
         ri = touched.get(i) or {i: ONE}
         rj = touched.get(i + 1) or {i + 1: ONE}
@@ -114,7 +116,8 @@ def burau(w: GroupWord) -> LPMatrix:
     """
     from .lpmatrix import LPMatrix, identity_rows
 
-    touched = burau_rows(w)
+    _require_rep_flavor(w)
+    touched = burau_rows(w.letters)
     rows = list(identity_rows(w.n))
     zeros = [ZERO] * w.n
     for r, entries in touched.items():

@@ -1,10 +1,10 @@
 """Relation verification harness.
 
 Runs every relator of a presentation through every applicable map and
-reports exact pass/fail per (relator, check). Group flavors with
-representations are checked there; the monoid flavors, which carry no
-matrix or automorphism image here, are checked by the bounded rewrite
-search instead.
+reports exact pass/fail per (relator, check). vb, bp, br and sym are checked
+under their representations. sb and sg have one check, `sigma_sq`: the Burau
+image of the word with each a_i read as sigma_i^2. a_i -> sigma_i^2 is a
+homomorphism SG_n -> Br_n, and SB_n sits inside SG_n (Fenn-Keyman-Rourke).
 
 A relator side has a few letters and touches a few of its n strands, so a
 map's check compares keys built from the cores in `reps`, never the n x n
@@ -19,18 +19,22 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .braidword import Flavor, Presentation, bfs_equal, relators
-from .errors import CheckNotApplicableError, ShapeError, StrandCountError
+from .braidword import Flavor, Presentation, relators
+from .errors import CheckNotApplicableError, ShapeError, StrandCountError, as_count
 from .freegrp import identity_images
 from .laurent import ONE
 from .reps import abelian_pair, aut_images, burau_rows, exp_sum, perm_strands
 
-_BFS_DEPTH = 2
 
-
-def _burau_key(w):
+def _burau_key(letters):
     """row -> sparse row for each Burau row that is not the identity row."""
-    return {r: row for r, row in burau_rows(w).items() if row != {r: ONE}}
+    return {r: row for r, row in burau_rows(letters).items() if row != {r: ONE}}
+
+
+def _sigma_sq_key(w):
+    """The Burau key of w with each a_i^+-1 read as s_i^+-1 s_i^+-1: each a
+    letter goes in twice, and `burau_rows` reads it as s."""
+    return _burau_key([x for lt in w.letters for x in ((lt, lt) if lt.kind == "a" else (lt,))])
 
 
 def _aut_key(w):
@@ -47,16 +51,21 @@ def _first_diff(a, b):
     return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
+def _burau_detail(a, b):
+    return f"Burau row {_first_diff(a, b) + 1}"
+
+
 def _abelian_detail(a, b):
     i = _first_diff(a, b)
     return f"{('zeta_parity', 'sigma_sum')[i]} {a[i]} vs {b[i]}"
 
 
-# every check but "bfs" compares a key of a relator's two sides under a map,
-# built from the map's core in `reps`; key equality is image equality. The
-# second function names the first differing component of two unequal keys.
+# every check compares a key of a relator's two sides under a map, built
+# from the map's core in `reps`; key equality is image equality. The second
+# function names the first differing component of two unequal keys.
 _MAPS = {
-    "burau": (_burau_key, lambda a, b: f"Burau row {_first_diff(a, b) + 1}"),
+    "burau": (lambda w: _burau_key(w.letters), _burau_detail),
+    "sigma_sq": (_sigma_sq_key, _burau_detail),
     "aut": (_aut_key, lambda a, b: f"Aut image of x{_first_diff(a, b) + 1}"),
     "perm": (perm_strands, lambda a, b: f"strand at position {_first_diff(a, b)}"),
     "exp_sum": (exp_sum, lambda a, b: f"exp_sum {a} vs {b}"),
@@ -68,8 +77,8 @@ CHECKS_BY_FLAVOR = {
     Flavor.BP: ("burau", "aut", "perm", "exp_sum", "abelianize"),
     Flavor.BR: ("burau", "aut", "perm", "exp_sum"),
     Flavor.SYM: ("burau", "aut", "perm", "exp_sum"),
-    Flavor.SB: ("bfs",),
-    Flavor.SG: ("bfs",),
+    Flavor.SB: ("sigma_sq",),
+    Flavor.SG: ("sigma_sq",),
 }
 
 
@@ -127,17 +136,10 @@ def verify_presentation(pres: Presentation, checks=None):
     records = []
     for rel in pres.relators:
         for name in checks:
-            detail = None
-            if name == "bfs":
-                passed = bool(bfs_equal(rel.lhs, rel.rhs, depth=_BFS_DEPTH))
-                if not passed:
-                    detail = f"no derivation within {_BFS_DEPTH} steps"
-            else:
-                key, describe = _MAPS[name]
-                a, b = key(rel.lhs), key(rel.rhs)
-                passed = a == b
-                if not passed:
-                    detail = describe(a, b)
+            key, describe = _MAPS[name]
+            a, b = key(rel.lhs), key(rel.rhs)
+            passed = a == b
+            detail = None if passed else describe(a, b)
             records.append(CheckRecord(pres.n, rel.name, name, passed, detail))
     return records
 
@@ -145,9 +147,11 @@ def verify_presentation(pres: Presentation, checks=None):
 def verify_range(flavor, n_lo: int, n_hi: int, checks=None):
     """Verify the flavor's presentations for every n in [n_lo, n_hi].
 
-    Raises StrandCountError for an empty range or one that starts below 2.
+    Raises StrandCountError for a bound that is not an integer, an empty
+    range or one that starts below 2.
     """
     flavor = Flavor(flavor)
+    n_lo, n_hi = as_count(n_lo), as_count(n_hi)
     if n_lo > n_hi:
         raise StrandCountError(f"empty strand range {n_lo}..{n_hi}")
     checks = _select_checks(flavor, checks)

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import strategies as st
 
-from vbraid.braidword import Flavor, GroupWord, Letter, bfs_equal
+from vbraid.braidword import Flavor, GroupWord, Letter, parse_word
 from vbraid.errors import InexactDivisionError, NonUnitDeterminantError, SizeMismatchError
 from vbraid.freegrp import FreeAut, FreeWord, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
@@ -161,8 +161,16 @@ def aut_product(w):
     return f
 
 
+def sigma_sq_word(w):
+    """Oracle: the Br_n word of an sb or sg word with each a_i^e written out
+    as s_i^e s_i^e, substituted in its text and parsed again."""
+    tokens = [f"s{t[1:]} s{t[1:]}" if t[0] == "a" else t for t in str(w).split()]
+    return parse_word(" ".join(tokens), "br", w.n)
+
+
 IMAGE_MAPS = {
     "burau": burau,
+    "sigma_sq": lambda w: burau(sigma_sq_word(w)),
     "aut": aut_rep,
     "perm": perm_proj,
     "exp_sum": exp_sum,
@@ -173,7 +181,7 @@ IMAGE_MAPS = {
 def image_detail(check, a, b):
     """Oracle: the first component in which the unequal public images a and b
     of a check's map differ, read off the images themselves."""
-    if check == "burau":
+    if check in ("burau", "sigma_sq"):
         r = next(r for r, (x, y) in enumerate(zip(a.entries, b.entries), start=1) if x != y)
         return f"Burau row {r}"
     if check == "aut":
@@ -197,17 +205,10 @@ def image_verify_presentation(pres, checks=None):
     records = []
     for rel in pres.relators:
         for check in checks or CHECKS_BY_FLAVOR[pres.flavor]:
-            detail = None
-            if check == "bfs":
-                passed = bool(bfs_equal(rel.lhs, rel.rhs, depth=2))
-                if not passed:
-                    detail = "no derivation within 2 steps"
-            else:
-                f = IMAGE_MAPS[check]
-                a, b = f(rel.lhs), f(rel.rhs)
-                passed = a == b
-                if not passed:
-                    detail = image_detail(check, a, b)
+            f = IMAGE_MAPS[check]
+            a, b = f(rel.lhs), f(rel.rhs)
+            passed = a == b
+            detail = None if passed else image_detail(check, a, b)
             records.append(CheckRecord(pres.n, rel.name, check, passed, detail))
     return records
 

@@ -107,7 +107,7 @@ class TestVerify:
         assert code == 0
         records = json.loads(out)
         assert all(r["passed"] for r in records)
-        assert {r["check"] for r in records} == {"bfs"}
+        assert {r["check"] for r in records} == {"sigma_sq"}
 
     def test_single_n(self, capsys):
         code, out, _ = run(capsys, "verify", "--flavor", "sym", "-n", "4")
@@ -125,8 +125,9 @@ class TestVerify:
         assert out1 == out2
 
     def test_inapplicable_reps_exit_3(self, capsys):
-        code, _, _ = run(capsys, "verify", "--flavor", "sb", "-n", "3", "--reps", "burau")
-        assert code == 3
+        for reps in ("burau", "bfs"):
+            code, _, _ = run(capsys, "verify", "--flavor", "sb", "-n", "3", "--reps", reps)
+            assert code == 3
         # an empty selection is refused, not read as the default set
         code, out, _ = run(capsys, "verify", "--flavor", "vb", "-n", "3", "--reps", "")
         assert code == 3 and out == ""
@@ -173,20 +174,16 @@ class TestEqual:
         assert obj["result"] == "equal"
         assert all({"rule", "direction", "position"} <= set(s) for s in obj["witness"])
 
-    def test_depth_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("VBRAID_BFS_DEPTH", "0")
-        code, out, _ = run(capsys, "equal", "--flavor", "sym", "-n", "3", "z1 z2 z1", "z2 z1 z2")
+    def test_depth_zero_unknown(self, capsys):
+        code, out, _ = run(
+            capsys, "equal", "--flavor", "sym", "-n", "3", "--depth", "0", "z1 z2 z1", "z2 z1 z2"
+        )
         assert code == 10 and out == "unknown\n"
 
-    def test_bad_depth_env_exit_2(self, capsys, monkeypatch):
-        for bad in ("banana", "-1", "2.5", ""):
-            monkeypatch.setenv("VBRAID_BFS_DEPTH", bad)
-            code, out, err = run(capsys, "equal", "-n", "3", "s1 s2 z1", "z2 s1 s2")
-            assert code == 2 and out == "" and "VBRAID_BFS_DEPTH" in err
-
     def test_negative_depth_exit_2(self, capsys):
-        code, out, err = run(capsys, "equal", "-n", "2", "--depth", "-1", "s1 s1^-1", "")
-        assert code == 2 and out == "" and "depth" in err
+        for bad in ("-1", "2.5", "banana", ""):
+            code, out, err = run(capsys, "equal", "-n", "2", "--depth", bad, "s1 s1^-1", "")
+            assert code == 2 and out == "" and "depth" in err
 
     def test_identical_words_below_two_strands(self, capsys):
         code, out, err = run(capsys, "equal", "-n", "1", "", "")

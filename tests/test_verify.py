@@ -11,7 +11,7 @@ from vbraid.freegrp import FreeAut
 from vbraid.lpmatrix import LPMatrix
 from vbraid.perm import Permutation
 from vbraid.reps import AbelianImage, burau
-from vbraid.verify import _MAPS, CheckRecord, verify_presentation, verify_range
+from vbraid.verify import _MAPS, CHECKS_BY_FLAVOR, CheckRecord, verify_presentation, verify_range
 
 
 def test_all_flavors_pass_small():
@@ -79,13 +79,19 @@ def test_bad_strand_range_typed():
         verify_range("vb", 1, 3)
     with pytest.raises(StrandCountError):
         verify_range("vb", 5, 2)
+    # a count that is not an integer is refused before it is compared or counted
+    calls = [(relators, 2.5), (relators, "3"), (verify_range, 2, 3.5), (verify_range, "2", 3)]
+    for f, *counts in calls:
+        with pytest.raises(StrandCountError, match="must be an integer"):
+            f("vb", *counts)
 
 
 def test_inapplicable_check_rejected():
     with pytest.raises(ValueError):
         verify_range("sb", 3, 3, checks=("burau",))
-    with pytest.raises(ValueError):
-        verify_range("vb", 3, 3, checks=("bfs",))
+    for name in ("sigma_sq", "bfs"):
+        with pytest.raises(ValueError):
+            verify_range("vb", 3, 3, checks=(name,))
 
 
 def corrupted(flavor, n, lhs, rhs):
@@ -131,11 +137,18 @@ def test_injected_fault_is_detected():
     bogus = {r.check: r for r in verify_presentation(pres) if r.relator == "bogus:1"}
     assert bogus["abelianize"].detail == "zeta_parity 1 vs 0"
     assert bogus["exp_sum"].passed
-    # the monoid flavors' bounded search reports its depth
-    pres = corrupted("sb", 3, "a1", "a2")
+    # sb and sg are checked through the Burau image of a_i -> s_i^2
+    wrong = [("a1 s2", "s2 a1"), ("a1 a2", "a2 a1"), ("a1 s1 s2", "s1 s2 a1"), ("a1", "a2")]
+    for flavor in ("sb", "sg"):
+        for lhs, rhs in wrong:
+            pres = corrupted(flavor, 3, lhs, rhs)
+            bogus = [r for r in verify_presentation(pres) if r.relator == "bogus:1"]
+            assert [r.line() for r in bogus] == ["n=3 bogus:1 sigma_sq FAIL (Burau row 1)"]
+            assert bogus[0].detail == "Burau row 1"
+            assert verify_presentation(pres) == image_verify_presentation(pres)
+    pres = corrupted("sg", 4, "a3", "a3^-1")
     bogus = [r for r in verify_presentation(pres) if r.relator == "bogus:1"]
-    assert [r.line() for r in bogus] == ["n=3 bogus:1 bfs FAIL (no derivation within 2 steps)"]
-    assert verify_presentation(pres) == image_verify_presentation(pres)
+    assert [r.line() for r in bogus] == ["n=4 bogus:1 sigma_sq FAIL (Burau row 3)"]
 
 
 @pytest.mark.parametrize("flavor", [f.value for f in Flavor])
@@ -149,16 +162,18 @@ def test_records_match_image_oracle(flavor):
 
 @st.composite
 def word_pairs(draw):
-    """Two words of one rep flavor on 2..12 strands. The second is drawn
+    """Two words of one flavor on 2..12 strands. The second is drawn
     independently, as the first with its letters shuffled, or as the first with
     l l^-1 or z_i z_i inserted, which touches rows and images that return to
     the identity. With `last` every letter sits on the last three strands."""
-    flavor = Flavor(draw(st.sampled_from(("vb", "bp", "br", "sym"))))
+    flavor = draw(st.sampled_from(list(Flavor)))
     n = draw(st.integers(2, 12))
-    kinds = {Flavor.BR: "s", Flavor.SYM: "z"}.get(flavor, "sz")
+    kinds = {Flavor.BR: "s", Flavor.SYM: "z", Flavor.SB: "sa", Flavor.SG: "sa"}.get(flavor, "sz")
+    # z is an involution, and a has no inverse in the monoid sb
+    fixed = "za" if flavor is Flavor.SB else "z"
     low = max(1, n - 2) if draw(st.booleans()) else 1
     letter = st.builds(
-        lambda kind, i, e: Letter(kind, i, 1 if kind == "z" else e),
+        lambda kind, i, e: Letter(kind, i, 1 if kind in fixed else e),
         st.sampled_from(kinds),
         st.integers(low, n - 1),
         st.sampled_from([1, -1]),
@@ -172,18 +187,19 @@ def word_pairs(draw):
     else:
         second = list(first)
         for lt in draw(st.lists(letter, min_size=1, max_size=3)):
+            if lt.kind == "a" and flavor is Flavor.SB:
+                continue
             at = draw(st.integers(0, len(second)))
             second[at:at] = [lt, lt.inverse()]
     return GroupWord(flavor, n, first), GroupWord(flavor, n, second)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(word_pairs())
 def test_keys_equal_exactly_when_images_do(pair):
     w1, w2 = pair
-    for check, (key, describe) in _MAPS.items():
-        if check == "abelianize" and w1.flavor not in (Flavor.VB, Flavor.BP):
-            continue
+    for check in CHECKS_BY_FLAVOR[w1.flavor]:
+        key, describe = _MAPS[check]
         image = IMAGE_MAPS[check]
         a, b = image(w1), image(w2)
         k1, k2 = key(w1), key(w2)
