@@ -263,12 +263,14 @@ def relators(flavor, n: int) -> Presentation:
             Relator(name, GroupWord(flavor, n, lhs), GroupWord(flavor, n, rhs))
         )
 
+    def table(kind, e=1):
+        # each generator letter is built once and shared by every relator
+        return {i: Letter(kind, i, e) for i in range(1, n)}
+
+    # only the tables the flavor's schemas use: sb and sg use s^-1, sg a^-1
     allowed = _ALLOWED_KINDS[flavor]
-    # each generator letter is built once and shared by every relator
-    s, s_inv, z, a, a_inv = (
-        {i: Letter(kind, i, e) for i in range(1, n)}
-        for kind, e in (("s", 1), ("s", -1), ("z", 1), ("a", 1), ("a", -1))
-    )
+    s = table("s") if "s" in allowed else None
+    z = table("z") if "z" in allowed else None
 
     if "z" in allowed:
         for i in range(1, n):
@@ -314,6 +316,7 @@ def relators(flavor, n: int) -> Presentation:
             )
 
     if "a" in allowed:
+        a, s_inv = table("a"), table("s", -1)
         for i in range(1, n):
             for j in range(i + 2, n):
                 add(f"a_comm:i={i},j={j}", [a[i], a[j]], [a[j], a[i]])
@@ -338,6 +341,7 @@ def relators(flavor, n: int) -> Presentation:
             add(f"sigma_inv_r:i={i}", [s[i], s_inv[i]], [])
             add(f"sigma_inv_l:i={i}", [s_inv[i], s[i]], [])
         if flavor is Flavor.SG:
+            a_inv = table("a", -1)
             for i in range(1, n):
                 add(f"a_inv_r:i={i}", [a[i], a_inv[i]], [])
                 add(f"a_inv_l:i={i}", [a_inv[i], a[i]], [])

@@ -19,12 +19,14 @@ braidword and errors, which every run loads:
     closure-gauss   gauss, reps, laurent, freegrp, perm
     burau, det      reps, laurent, freegrp, lpmatrix
     verify          verify, reps, laurent, freegrp
+
+json is imported only by a run that prints JSON (`_dumps`, or the codecs
+in laurent): --json, burau and abelianize.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .braidword import Flavor, bfs_equal, free_reduce, parse_word
@@ -45,6 +47,13 @@ EXIT_PRECONDITION = 4
 EXIT_UNKNOWN = 10
 
 _FLAVORS = [f.value for f in Flavor]
+
+
+def _dumps(obj, **kwargs):
+    """json.dumps, importing json only for a run that prints JSON."""
+    import json
+
+    return json.dumps(obj, **kwargs)
 
 
 def _parse_range(text):
@@ -113,7 +122,7 @@ def _run(args) -> int:
         checks = None if args.reps is None else args.reps.split(",")
         records = verify_range(args.flavor, lo, hi, checks)
         if args.json:
-            out.write(json.dumps([r.to_json_obj() for r in records]) + "\n")
+            out.write(_dumps([r.to_json_obj() for r in records]) + "\n")
         else:
             for r in records:
                 out.write(r.line() + "\n")
@@ -130,7 +139,7 @@ def _run(args) -> int:
                     {"rule": s.rule, "direction": s.direction, "position": s.position}
                     for s in result.witness
                 ]
-            out.write(json.dumps(obj) + "\n")
+            out.write(_dumps(obj) + "\n")
         else:
             if result.equal:
                 out.write("equal\n")
@@ -145,7 +154,7 @@ def _run(args) -> int:
 
     if args.command == "reduce":
         text = str(free_reduce(word))
-        out.write((json.dumps(text) if args.json else text) + "\n")
+        out.write((_dumps(text) if args.json else text) + "\n")
     elif args.command == "burau":
         from .reps import burau
 
@@ -161,18 +170,18 @@ def _run(args) -> int:
 
         p = perm_proj(word)
         if args.json:
-            out.write(json.dumps(list(p.images)) + "\n")
+            out.write(_dumps(list(p.images)) + "\n")
         else:
             out.write(str(p) + "\n")
     elif args.command == "abelianize":
         from .reps import abelianize
 
-        out.write(json.dumps(abelianize(word).to_json_obj(), sort_keys=True) + "\n")
+        out.write(_dumps(abelianize(word).to_json_obj(), sort_keys=True) + "\n")
     elif args.command == "closure-gauss":
         from .gauss import closure_code
 
         text = str(closure_code(word))
-        out.write((json.dumps(text) if args.json else text) + "\n")
+        out.write((_dumps(text) if args.json else text) + "\n")
     return EXIT_OK
 
 

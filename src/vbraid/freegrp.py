@@ -8,10 +8,12 @@ by the images of the generators x_1..x_n; composition follows the same
 
 Letters are shared, not copied. One table, ``_INVERSE``, maps each letter
 to its inverse and holds both as the same two tuple objects for the life of
-the process, two entries per generator. ``inverse``, products and the
-identity images take their letters from it or from their operands, so the
-words of ``aut_rep`` on n strands, however long, share at most 2n letter
-objects: a letter costs one pointer in its word's tuple.
+the process, two entries per generator. ``invert_letters``, ``mul_letters``
+and ``identity_letters`` take their letters from it or from their operands,
+so the words of ``aut_rep`` on n strands, however long, share at most 2n
+letter objects: a letter costs one pointer in its word's tuple. These three
+work on bare letter tuples, the form in which ``reps.aut_images`` builds its
+images; ``FreeWord.inverse`` and ``*`` call them.
 """
 
 from __future__ import annotations
@@ -51,6 +53,22 @@ def _reduce(letters):
     return tuple(stack)
 
 
+def mul_letters(a, b):
+    """The product of two freely reduced letter tuples, freely reduced: the
+    longest suffix of a that inverts a prefix of b is cut from both."""
+    if not a or not b or _INVERSE[a[-1]] != b[0]:
+        return a + b
+    cut, most = 1, min(len(a), len(b))
+    while cut < most and _INVERSE[a[-1 - cut]] == b[cut]:
+        cut += 1
+    return a[: len(a) - cut] + b[cut:]
+
+
+def invert_letters(a):
+    """The inverse of a freely reduced letter tuple, its letters from ``_INVERSE``."""
+    return tuple([_INVERSE[letter] for letter in reversed(a)])
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class FreeWord:
     """A freely reduced word in F_n; the rank is implicit in usage context."""
@@ -82,18 +100,10 @@ class FreeWord:
         return len(self.letters)
 
     def __mul__(self, other):
-        """Concatenation followed by free reduction at the junction: the
-        longest suffix of self that inverts a prefix of other is cut from both."""
-        a, b = self.letters, other.letters
-        if not a or not b or _INVERSE[a[-1]] != b[0]:
-            return _trusted_word(a + b)
-        cut, most = 1, min(len(a), len(b))
-        while cut < most and _INVERSE[a[-1 - cut]] == b[cut]:
-            cut += 1
-        return _trusted_word(a[: len(a) - cut] + b[cut:])
+        return _trusted_word(mul_letters(self.letters, other.letters))
 
     def inverse(self):
-        return _trusted_word(tuple([_INVERSE[letter] for letter in reversed(self.letters)]))
+        return _trusted_word(invert_letters(self.letters))
 
     def max_generator(self):
         return max((g for g, _ in self.letters), default=0)
@@ -116,10 +126,10 @@ def _trusted_word(letters):
 
 
 @lru_cache(maxsize=64)
-def identity_images(n):
-    """The images x_1, ..., x_n of the identity of F_n, built once per n and shared
-    (a FreeWord is immutable); each letter x_i is the one ``_INVERSE`` keeps."""
-    return tuple(_trusted_word((_INVERSE[(i, -1)],)) for i in range(1, n + 1))
+def identity_letters(n):
+    """The letter tuples (x_1,), ..., (x_n,) of the identity of F_n, built once per
+    n and shared; each letter x_i is the one ``_INVERSE`` keeps."""
+    return tuple((_INVERSE[(i, -1)],) for i in range(1, n + 1))
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -155,6 +165,14 @@ class FreeAut:
 
     def __repr__(self):
         return f"FreeAut({self.n}, {[str(i) for i in self.images]})"
+
+
+def aut_of_letters(n, touched):
+    """The FreeAut of F_n that sends x_(i+1) to the FreeWord of touched[i], a
+    freely reduced tuple of ``_INVERSE``'s letters, and every other generator
+    to itself; the tuples are wrapped without the FreeWord checks."""
+    identity = identity_letters(n)
+    return FreeAut(n, [_trusted_word(touched.get(i, x)) for i, x in enumerate(identity)])
 
 
 def aut_apply(f: FreeAut, w: FreeWord) -> FreeWord:

@@ -50,7 +50,6 @@ more than a gigabyte.
 
 from __future__ import annotations
 
-import json
 import struct
 from operator import index
 
@@ -176,12 +175,25 @@ def _json_int(x):
         raise LaurentTermError(f"JSON term {x!r} is not an integer") from None
 
 
+# json is imported by the JSON codecs when called, so a run that prints no
+# JSON does not load it
+
+
 def json_loads(text, what):
     """json.loads for the decoder of `what`: text that is not JSON raises ShapeError."""
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ShapeError(f"{what} text is not JSON: {exc}") from None
+
+
+def json_dumps(obj):
+    """json.dumps with sorted keys, the form of every encoder's text."""
+    import json
+
+    return json.dumps(obj, sort_keys=True)
 
 
 class LaurentPoly:
@@ -417,7 +429,7 @@ class LaurentPoly:
         return cls({_json_int(e): _json_int(c) for e, c in obj.items()})
 
     def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        return json_dumps(self.to_json_obj())
 
     @classmethod
     def from_json(cls, text):

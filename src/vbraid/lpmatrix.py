@@ -8,7 +8,6 @@ exist only for unit determinants +-t^k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
@@ -20,7 +19,7 @@ from .errors import (
     ShapeError,
     as_count,
 )
-from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly, json_loads
+from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly, json_dumps, json_loads
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -89,7 +88,7 @@ class LPMatrix:
         return mat
 
     def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        return json_dumps(self.to_json_obj())
 
     @classmethod
     def from_json(cls, text):

@@ -14,76 +14,83 @@ naturality of the symmetry reads
 
     zeta_block(n, m) . mu(w1, w2) . zeta_block(m, n)  =  mu(w2, w1),
 
-using zeta_block(m, n) * zeta_block(n, m) = 1. The coherence identities:
+using zeta_block(m, n) * zeta_block(n, m) = 1. `check_naturality` builds
+the two sides as two words and compares their Aut keys (`reps.aut_key`).
+The coherence identities:
 
     B1: zeta_block(m,n) (widened)  +  shift(zeta_block(m,q), n)
             == zeta_block(m, n+q)
     B2: shift(zeta_block(n,q), m)  +  zeta_block(m,q) (widened)
             == zeta_block(m+n, q)
 
-B1 holds letter for letter. B2 holds up to interchanging virtual letters
-with distant indices (z_i z_j = z_j z_i for |i-j| > 1), e.g. at
-(m,n,q) = (1,1,2) the sides are z2 z3 z1 z2 and z2 z1 z3 z2; it is checked
-by comparing lexicographic normal forms in that commutation monoid.
+`check_coherence` compares the index sequences of the zeta_block words, a
+shift being + n or + m on the indices. B1 holds letter for letter. B2 holds
+up to interchanging virtual letters with distant indices
+(z_i z_j = z_j z_i for |i-j| > 1), e.g. at (m,n,q) = (1,1,2) the sides are
+z2 z3 z1 z2 and z2 z1 z3 z2. It is checked by comparing Foata normal forms
+in that commutation monoid (Cartier-Foata), one pass over each side: the
+cost is O(L log L) for L = (m+n)q letters.
 """
 
 from __future__ import annotations
 
 from .braidword import Flavor, GroupWord, Letter
-from .errors import SizeMismatchError, StrandCountError
-from .reps import aut_rep
+from .errors import SizeMismatchError, StrandCountError, as_count
+from .reps import aut_key
+
+
+def _shifted(letters, m):
+    return tuple(Letter(lt.kind, lt.index + m, lt.exponent) for lt in letters)
 
 
 def shift(w: GroupWord, m: int) -> GroupWord:
     """Raise every letter index by m and the strand count by m."""
+    m = as_count(m, "shift amount")
     if m < 0:
         raise StrandCountError(f"shift amount must be nonnegative, got {m}")
-    return GroupWord(
-        w.flavor,
-        w.n + m,
-        tuple(Letter(lt.kind, lt.index + m, lt.exponent) for lt in w.letters),
-    )
+    return GroupWord(w.flavor, w.n + m, _shifted(w.letters, m))
 
 
 def widen(w: GroupWord, n: int) -> GroupWord:
     """Same letters on a larger strand count (extra strands on the right)."""
+    n = as_count(n)
     if n < w.n:
         raise SizeMismatchError("cannot widen to fewer strands")
     return GroupWord(w.flavor, n, w.letters)
+
+
+def _pair_letters(w1, w2):
+    """The letters of mu(w1, w2): w1's, then w2's shifted past w1's strands."""
+    return w1.letters + _shifted(w2.letters, w1.n)
 
 
 def mu(w1: GroupWord, w2: GroupWord) -> GroupWord:
     """Juxtaposition: w1 on the first strands, w2 shifted past them."""
     if w1.flavor != w2.flavor:
         raise SizeMismatchError("pairing requires words of the same flavor")
-    m = w1.n
-    return widen(w1, m + w2.n).concat(shift(w2, m))
+    return GroupWord(w1.flavor, w1.n + w2.n, _pair_letters(w1, w2))
 
 
 def _block_word(kind: str, flavor: Flavor, m: int, n: int) -> GroupWord:
     if m < 0 or n < 0:
         raise StrandCountError(f"block sizes must be nonnegative, got {m}, {n}")
+    # each generator letter is built once and shared by the word's m * n letters
+    gen = {i: Letter(kind, i) for i in range(1, m + n)}
     letters = []
     for j in range(1, n + 1):
         for i in range(m + j - 1, j - 1, -1):
-            letters.append(Letter(kind, i))
+            letters.append(gen[i])
     return GroupWord(flavor, m + n, letters)
 
 
 def zeta_block(m: int, n: int) -> GroupWord:
     """The block-swap word of virtual crossings in VB_{m+n}."""
-    return _block_word("z", Flavor.VB, m, n)
+    return _block_word("z", Flavor.VB, as_count(m, "block size"), as_count(n, "block size"))
 
 
 def sigma_block(m: int, n: int) -> GroupWord:
     """The block braiding word of classical crossings in Br_{m+n}."""
-    return _block_word("s", Flavor.BR, m, n)
-
-
-def _as_vb(w: GroupWord) -> GroupWord:
-    if w.flavor is Flavor.VB:
-        return w
-    return GroupWord(Flavor.VB, w.n, w.letters)
+    return _block_word("s", Flavor.BR, as_count(m, "block size"), as_count(n, "block size"))
 
 
 def check_naturality(m: int, n: int, w1: GroupWord, w2: GroupWord) -> bool:
@@ -91,43 +98,46 @@ def check_naturality(m: int, n: int, w1: GroupWord, w2: GroupWord) -> bool:
 
     Verifies zeta_block(n,m) . mu(w1,w2) . zeta_block(m,n) == mu(w2,w1)
     after applying aut_rep, a necessary condition for the word identity.
+    Both sides are read as vb words, and their Aut keys are compared.
     """
+    m, n = as_count(m, "block size"), as_count(n, "block size")
     if w1.flavor != w2.flavor:
         raise SizeMismatchError("naturality check requires matching flavors")
     if w1.n != m or w2.n != n:
         raise SizeMismatchError("block sizes must match the words' strand counts")
-    w1, w2 = _as_vb(w1), _as_vb(w2)
-    conjugated = zeta_block(n, m).concat(mu(w1, w2)).concat(zeta_block(m, n))
-    swapped = mu(w2, w1)
-    return aut_rep(conjugated) == aut_rep(swapped)
+    conjugated = GroupWord(
+        Flavor.VB,
+        m + n,
+        zeta_block(n, m).letters + _pair_letters(w1, w2) + zeta_block(m, n).letters,
+    )
+    swapped = GroupWord(Flavor.VB, m + n, _pair_letters(w2, w1))
+    return aut_key(conjugated) == aut_key(swapped)
 
 
-def _commutation_normal(indices):
-    """Lexicographically least word equal to `indices` using only the
-    interchanges i j = j i for |i - j| > 1 (trace-monoid normal form)."""
-    remaining = list(indices)
-    out = []
-    while remaining:
-        best = None
-        for p, idx in enumerate(remaining):
-            if any(abs(idx - remaining[k]) <= 1 for k in range(p)):
-                continue
-            if best is None or idx < remaining[best]:
-                best = p
-        out.append(remaining.pop(best))
-    return tuple(out)
+def _foata(indices):
+    """The Foata normal form of a word of virtual letters, given by their
+    indices, in the commutation monoid of z_i z_j = z_j z_i (|i - j| > 1): the
+    sorted (level, index) pairs, where a letter's level is one more than the
+    highest level of the letters before it that it does not commute with. Two
+    words are equal in the monoid exactly when their forms are."""
+    level = {}
+    form = []
+    for i in indices:
+        k = level[i] = 1 + max(level.get(i - 1, 0), level.get(i, 0), level.get(i + 1, 0))
+        form.append((k, i))
+    form.sort()
+    return form
+
+
+def _indices(w):
+    return [lt.index for lt in w.letters]
 
 
 def check_coherence(m: int, n: int, q: int) -> bool:
     """Check B1 as a literal word identity and B2 as a word identity up to
     interchanging distant virtual letters (no other rewriting)."""
-    total = m + n + q
-    b1_lhs = widen(zeta_block(m, n), total).concat(shift(zeta_block(m, q), n))
-    b1_rhs = zeta_block(m, n + q)
-    if b1_lhs.letters != b1_rhs.letters:
+    b1_lhs = _indices(zeta_block(m, n)) + [i + n for i in _indices(zeta_block(m, q))]
+    if b1_lhs != _indices(zeta_block(m, n + q)):
         return False
-    b2_lhs = shift(zeta_block(n, q), m).concat(widen(zeta_block(m, q), total))
-    b2_rhs = zeta_block(m + n, q)
-    return _commutation_normal(
-        lt.index for lt in b2_lhs.letters
-    ) == _commutation_normal(lt.index for lt in b2_rhs.letters)
+    b2_lhs = [i + m for i in _indices(zeta_block(n, q))] + _indices(zeta_block(m, q))
+    return _foata(b2_lhs) == _foata(_indices(zeta_block(m + n, q)))

@@ -24,7 +24,12 @@ an assembly step. The core (`burau_rows`, `aut_images`, `perm_strands`,
 the touched Aut images, the strand order and the pair of counts. The public
 function assembles the validated `LPMatrix`, `FreeAut`, `Permutation` or
 `AbelianImage` from it. `verify` compares the cores of a relator's two sides
-directly, so a relator costs O(letters) there, whatever n is. `burau_rows`
+directly, so a relator costs O(letters) there, whatever n is. The Aut core
+keeps each image as a freely reduced tuple of letters, multiplied and
+inverted by `freegrp.mul_letters` and `invert_letters`; only `aut_rep`
+wraps them into FreeWords. `aut_key`, the touched images less those that
+have returned to the identity, is the one key of the Aut image: `verify`
+and `monoidal` both compare it. `burau_rows`
 takes the letters alone and reads each a as s, which is how `verify` checks
 the singular flavors through a_i -> s_i^2. `burau` and
 `perm_proj` import `lpmatrix` and `perm` when they are called, so a caller
@@ -38,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 from .braidword import Flavor, GroupWord
 from .errors import FlavorError, ParityError
-from .freegrp import FreeAut, identity_images
+from .freegrp import FreeAut, aut_of_letters, identity_letters, invert_letters, mul_letters
 from .laurent import ONE, T, T_INV, ZERO
 
 _REP_FLAVORS = frozenset({Flavor.BR, Flavor.SYM, Flavor.VB, Flavor.BP})
@@ -134,12 +139,13 @@ def aut_images(w: GroupWord) -> dict:
     Built from the right as acc = acc o rho(l) for l = lk, ..., l1: a letter
     at index i changes only the images a, b of x_i, x_{i+1}, to (b, a) for
     z_i, (b, b^-1 a b) for s_i and (a b a^-1, a) for s_i^-1. Returns
-    {i: image of x_(i+1)} for each image touched; any other image is x_(i+1)
-    itself, `identity_images(n)[i]`, and a touched one may have returned to
-    it. The cost is that of the images the word touches, whatever n is.
+    {i: image of x_(i+1)} for each image touched, as a freely reduced tuple
+    of (generator, +-1) letters; any other image is x_(i+1) itself,
+    `identity_letters(n)[i]`, and a touched one may have returned to it. The
+    cost is that of the images the word touches, whatever n is.
     """
     _require_rep_flavor(w)
-    identity = identity_images(w.n)
+    identity = identity_letters(w.n)
     touched = {}
     for lt in reversed(w.letters):
         i = lt.index - 1
@@ -147,23 +153,28 @@ def aut_images(w: GroupWord) -> dict:
         if lt.kind == "z":
             touched[i], touched[i + 1] = b, a
         elif lt.exponent == 1:
-            touched[i], touched[i + 1] = b, b.inverse() * a * b
+            touched[i], touched[i + 1] = b, mul_letters(mul_letters(invert_letters(b), a), b)
         else:
-            touched[i], touched[i + 1] = a * b * a.inverse(), a
+            touched[i], touched[i + 1] = mul_letters(mul_letters(a, b), invert_letters(a)), a
     return touched
+
+
+def aut_key(w: GroupWord) -> dict:
+    """i -> image of x_(i+1), as its letter tuple, for each Aut image that is not
+    x_(i+1). The one key of the Aut image: two words of the same n have equal
+    `aut_rep` exactly when their keys are equal, at the cost of `aut_images`."""
+    identity = identity_letters(w.n)
+    return {i: img for i, img in aut_images(w).items() if img != identity[i]}
 
 
 def aut_rep(w: GroupWord) -> FreeAut:
     """The representation in Aut F_n through the braid-permutation group.
 
-    Assembled from `aut_images` over the identity images, which are built
-    once per n and shared (a FreeWord is immutable), so the cost is that of
-    the touched images plus one O(n) copy and the FreeAut check.
+    Assembled from `aut_images`: each touched letter tuple is wrapped into a
+    FreeWord once, so the cost is that of the touched images plus one O(n)
+    pass and the FreeAut check.
     """
-    images = list(identity_images(w.n))
-    for i, img in aut_images(w).items():
-        images[i] = img
-    return FreeAut(w.n, images)
+    return aut_of_letters(w.n, aut_images(w))
 
 
 def perm_strands(w: GroupWord) -> list:

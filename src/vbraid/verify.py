@@ -21,9 +21,8 @@ from dataclasses import asdict, dataclass
 
 from .braidword import Flavor, Presentation, relators
 from .errors import CheckNotApplicableError, ShapeError, StrandCountError, as_count
-from .freegrp import identity_images
 from .laurent import ONE
-from .reps import abelian_pair, aut_images, burau_rows, exp_sum, perm_strands
+from .reps import abelian_pair, aut_key, burau_rows, exp_sum, perm_strands
 
 
 def _burau_key(letters):
@@ -35,12 +34,6 @@ def _sigma_sq_key(w):
     """The Burau key of w with each a_i^+-1 read as s_i^+-1 s_i^+-1: each a
     letter goes in twice, and `burau_rows` reads it as s."""
     return _burau_key([x for lt in w.letters for x in ((lt, lt) if lt.kind == "a" else (lt,))])
-
-
-def _aut_key(w):
-    """i -> image of x_(i+1) for each Aut image that is not x_(i+1)."""
-    identity = identity_images(w.n)
-    return {i: img for i, img in aut_images(w).items() if img != identity[i]}
 
 
 def _first_diff(a, b):
@@ -66,7 +59,7 @@ def _abelian_detail(a, b):
 _MAPS = {
     "burau": (lambda w: _burau_key(w.letters), _burau_detail),
     "sigma_sq": (_sigma_sq_key, _burau_detail),
-    "aut": (_aut_key, lambda a, b: f"Aut image of x{_first_diff(a, b) + 1}"),
+    "aut": (aut_key, lambda a, b: f"Aut image of x{_first_diff(a, b) + 1}"),
     "perm": (perm_strands, lambda a, b: f"strand at position {_first_diff(a, b)}"),
     "exp_sum": (exp_sum, lambda a, b: f"exp_sum {a} vs {b}"),
     "abelianize": (abelian_pair, _abelian_detail),

@@ -7,6 +7,7 @@ from vbraid.errors import InexactDivisionError, NonUnitDeterminantError, SizeMis
 from vbraid.freegrp import FreeAut, FreeWord, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import LPMatrix, identity_rows, mat_mul
+from vbraid.monoidal import mu, shift, widen, zeta_block
 from vbraid.perm import Permutation
 from vbraid.reps import abelianize, aut_rep, burau, exp_sum, perm_proj
 from vbraid.verify import CHECKS_BY_FLAVOR, CheckRecord
@@ -159,6 +160,76 @@ def aut_product(w):
     for lt in w.letters:
         f = aut_compose(aut_generator(lt, w.n), f)
     return f
+
+
+def _free_product(*words):
+    """The product of FreeWords, its letters joined and reduced by the checked
+    FreeWord constructor (not by `freegrp.mul_letters`)."""
+    return FreeWord([letter for w in words for letter in w.letters])
+
+
+def _free_inverse(w):
+    """The inverse of a FreeWord, its letters listed in reverse with each
+    exponent negated (not by `freegrp.invert_letters`)."""
+    return FreeWord([(g, -e) for g, e in reversed(w.letters)])
+
+
+def freeword_aut_images(w):
+    """Oracle: `reps.aut_images` as first written, each image a FreeWord, with
+    products and inverses of its own that share no code with `freegrp`'s
+    letter-tuple product and inverse."""
+    identity = [FreeWord.generator(k) for k in range(1, w.n + 1)]
+    touched = {}
+    for lt in reversed(w.letters):
+        i = lt.index - 1
+        a, b = touched.get(i, identity[i]), touched.get(i + 1, identity[i + 1])
+        if lt.kind == "z":
+            touched[i], touched[i + 1] = b, a
+        elif lt.exponent == 1:
+            touched[i], touched[i + 1] = b, _free_product(_free_inverse(b), a, b)
+        else:
+            touched[i], touched[i + 1] = _free_product(a, b, _free_inverse(a)), a
+    return touched
+
+
+def commutation_normal(indices):
+    """Oracle: the lexicographically least word equal to `indices` using only the
+    interchanges i j = j i for |i - j| > 1, by a greedy rescan of the remaining
+    letters for each output letter (O(L^3))."""
+    remaining = list(indices)
+    out = []
+    while remaining:
+        best = None
+        for p, idx in enumerate(remaining):
+            if any(abs(idx - remaining[k]) <= 1 for k in range(p)):
+                continue
+            if best is None or idx < remaining[best]:
+                best = p
+        out.append(remaining.pop(best))
+    return tuple(out)
+
+
+def word_coherence(m, n, q):
+    """Oracle: `check_coherence` as first written, on words built by `shift`,
+    `widen` and `concat`, B2 compared by `commutation_normal`."""
+    total = m + n + q
+    b1_lhs = widen(zeta_block(m, n), total).concat(shift(zeta_block(m, q), n))
+    if b1_lhs.letters != zeta_block(m, n + q).letters:
+        return False
+    b2_lhs = shift(zeta_block(n, q), m).concat(widen(zeta_block(m, q), total))
+    b2_rhs = zeta_block(m + n, q)
+    return commutation_normal(lt.index for lt in b2_lhs.letters) == commutation_normal(
+        lt.index for lt in b2_rhs.letters
+    )
+
+
+def aut_naturality(m, n, w1, w2):
+    """Oracle: `check_naturality` as first written, comparing the `aut_rep` of
+    zeta_block(n, m) . mu(w1, w2) . zeta_block(m, n) and of mu(w2, w1) built
+    by `concat` and `mu` from the words read in vb."""
+    w1, w2 = (GroupWord(Flavor.VB, w.n, w.letters) for w in (w1, w2))
+    conjugated = zeta_block(n, m).concat(mu(w1, w2)).concat(zeta_block(m, n))
+    return aut_rep(conjugated) == aut_rep(mu(w2, w1))
 
 
 def sigma_sq_word(w):

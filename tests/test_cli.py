@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vbraid
 from vbraid.cli import main
 
 
@@ -188,3 +193,30 @@ class TestEqual:
     def test_identical_words_below_two_strands(self, capsys):
         code, out, err = run(capsys, "equal", "-n", "1", "", "")
         assert code == 0 and out == "equal\n" and err == ""
+
+
+JSON_RUNS = {
+    "reduce": (["reduce", "-n", "3", "s1 s2"], False),
+    "reduce --json": (["--json", "reduce", "-n", "3", "s1 s2"], True),
+    "equal": (["equal", "-n", "3", "s1 z2", "s1 z2"], False),
+    "verify": (["verify", "-n", "2..3"], False),
+    "verify --json": (["--json", "verify", "-n", "2..3"], True),
+    "perm": (["perm", "-n", "3", "s1 z2"], False),
+    "closure-gauss": (["closure-gauss", "-n", "2", "s1 s1 s1"], False),
+    "det": (["det", "-n", "3", "s1 z2"], False),
+    "burau": (["burau", "-n", "2", "s1"], True),
+    "abelianize": (["abelianize", "-n", "2", "s1"], True),
+}
+
+
+@pytest.mark.parametrize("argv, prints_json", JSON_RUNS.values(), ids=JSON_RUNS)
+def test_json_loaded_only_by_runs_that_print_it(argv, prints_json):
+    code = (
+        "import sys, vbraid.cli\n"
+        f"code = vbraid.cli.main({argv!r})\n"
+        "print('json' in sys.modules, code)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(vbraid.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == f"{prints_json} 0"

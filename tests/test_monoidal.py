@@ -1,12 +1,17 @@
+import itertools
 import random
 
 import pytest
-from conftest import random_word
+from conftest import aut_naturality, commutation_normal, random_word, word_coherence
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vbraid import monoidal
 from vbraid.braidword import Flavor, GroupWord, S, Z, parse_word
 from vbraid.errors import SizeMismatchError, StrandCountError
 from vbraid.lpmatrix import LPMatrix, block_diag
 from vbraid.monoidal import (
+    _foata,
     check_coherence,
     check_naturality,
     mu,
@@ -43,6 +48,29 @@ class TestShiftWiden:
             shift(parse_word("s1", "vb", 2), -1)
         with pytest.raises(StrandCountError):
             zeta_block(-1, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: check_coherence(2.5, 1, 1),
+            lambda w: zeta_block(2.0, 1),
+            lambda w: check_naturality(2.0, 2, w, w),
+            lambda w: zeta_block(True, 2),
+            lambda w: shift(w, 1.5),
+        ],
+        ids=[
+            "check_coherence(2.5, 1, 1)",
+            "zeta_block(2.0, 1)",
+            "check_naturality(2.0, 2, w, w)",
+            "zeta_block(True, 2)",
+            "shift(w, 1.5)",
+        ],
+    )
+    def test_non_integer_sizes_typed(self, call):
+        """A block size or shift amount that is a float or a bool raises
+        StrandCountError, not a bare TypeError, and is never accepted."""
+        with pytest.raises(StrandCountError):
+            call(parse_word("s1", "vb", 2))
 
 
 class TestMu:
@@ -136,10 +164,70 @@ class TestNaturality:
         with pytest.raises(SizeMismatchError):
             check_naturality(3, 2, parse_word("s1", "vb", 2), parse_word("s1", "vb", 2))
 
+    def test_agrees_with_aut_rep_oracle(self):
+        rng = random.Random(34)
+        for _ in range(150):
+            m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+            flavor = rng.choice((Flavor.VB, Flavor.BP, Flavor.BR, Flavor.SYM))
+            w1, w2 = (
+                random_word(rng, flavor, k, rng.randrange(0, 9)) if k > 1 else GroupWord(flavor, 1, [])
+                for k in (m, n)
+            )
+            assert check_naturality(m, n, w1, w2) == aut_naturality(m, n, w1, w2), (m, n, w1, w2)
+
+    def test_key_comparison_is_not_vacuous(self, monkeypatch):
+        """With the block swaps taken out, the two sides are mu(w1, w2) and
+        mu(w2, w1), whose Aut images differ: the check must then fail."""
+        monkeypatch.setattr(monoidal, "zeta_block", lambda m, n: GroupWord(Flavor.VB, m + n, []))
+        w1, w2 = parse_word("s1", "vb", 2), parse_word("s1 s2", "vb", 3)
+        assert not check_naturality(2, 3, w1, w2)
+
 
 class TestCoherence:
     def test_literal_identities(self):
-        for m in range(5):
-            for n in range(5):
-                for q in range(5):
-                    assert check_coherence(m, n, q), (m, n, q)
+        # the index-level check and the word-level oracle both hold
+        for m in range(6):
+            for n in range(6):
+                for q in range(6):
+                    assert check_coherence(m, n, q) and word_coherence(m, n, q), (m, n, q)
+
+
+@st.composite
+def index_word_pairs(draw):
+    """Two words over the indices 1..4. Half of the pairs are a word and the
+    word after a few swaps of adjacent letters, distant or not, so that equal
+    and unequal pairs both occur; the other half are two independent words."""
+    index_words = st.lists(st.integers(1, 4), max_size=8)
+    first = draw(index_words)
+    if draw(st.booleans()):
+        return first, draw(index_words)
+    second = list(first)
+    if len(second) > 1:
+        for p in draw(st.lists(st.integers(0, len(second) - 2), max_size=4)):
+            second[p], second[p + 1] = second[p + 1], second[p]
+    return first, second
+
+
+class TestFoata:
+    @settings(max_examples=300)
+    @given(index_word_pairs())
+    def test_equality_agrees_with_greedy_oracle(self, pair):
+        a, b = pair
+        assert (_foata(a) == _foata(b)) == (commutation_normal(a) == commutation_normal(b))
+
+    def test_agrees_with_greedy_oracle_on_all_short_words(self):
+        # equal words are rearrangements of each other, so each word is
+        # compared with every rearrangement of it
+        for length in range(5):
+            for a in itertools.product(range(1, 5), repeat=length):
+                for b in set(itertools.permutations(a)):
+                    assert (_foata(a) == _foata(b)) == (
+                        commutation_normal(a) == commutation_normal(b)
+                    ), (a, b)
+
+    def test_distant_and_adjacent_swaps(self):
+        # the B2 sides at (m, n, q) = (1, 1, 2): z2 z3 z1 z2 and z2 z1 z3 z2
+        assert _foata([2, 3, 1, 2]) == _foata([2, 1, 3, 2])
+        assert _foata([1, 3]) == _foata([3, 1])
+        assert _foata([1, 2]) != _foata([2, 1])
+        assert _foata([1, 2, 1]) != _foata([2, 1, 2])

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -7,6 +8,7 @@ from conftest import (
     burau_generator,
     burau_product,
     dense_burau,
+    freeword_aut_images,
     p_compose,
     p_transposition,
     random_word,
@@ -14,6 +16,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 
+from vbraid import reps
 from vbraid.braidword import (
     Flavor,
     GroupWord,
@@ -25,13 +28,15 @@ from vbraid.braidword import (
     relators,
 )
 from vbraid.errors import FlavorError, ParityError
-from vbraid.freegrp import FreeWord, aut_apply, aut_compose
+from vbraid.freegrp import _INVERSE, FreeWord, aut_apply, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import LPMatrix, mat_det, mat_inverse, mat_mul
 from vbraid.perm import Permutation
 from vbraid.reps import (
     AbelianImage,
     abelianize,
+    aut_images,
+    aut_key,
     aut_rep,
     burau,
     exp_sum,
@@ -149,21 +154,61 @@ def test_aut_rep_far_end_letters(w):
     assert aut_rep(w) == aut_product(w)
 
 
+def assert_aut_images_match_oracle(w):
+    """aut_images' letter tuples are the FreeWord oracle's images, letter for
+    letter and built of the letters _INVERSE keeps, and aut_key keeps exactly
+    the images that are not the generator itself."""
+    got, want = aut_images(w), freeword_aut_images(w)
+    assert got == {i: img.letters for i, img in want.items()}, w
+    assert all(letter is _INVERSE[_INVERSE[letter]] for img in got.values() for letter in img)
+    moved = {i: img.letters for i, img in want.items() if img != FreeWord.generator(i + 1)}
+    assert aut_key(w) == moved, w
+
+
+@pytest.mark.parametrize("flavor", REP_FLAVORS)
+def test_aut_images_match_oracle_on_relator_sides(flavor):
+    for n in range(2, 11):
+        for rel in relators(flavor, n).relators:
+            assert_aut_images_match_oracle(rel.lhs)
+            assert_aut_images_match_oracle(rel.rhs)
+
+
+@pytest.mark.parametrize("seed", [1, 31415926])
+def test_aut_images_match_oracle_on_invariants_words(seed, monkeypatch):
+    """The aut words of the benchmark's invariants workload at the seed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import ref
+    import workloads
+
+    specs = workloads.Invariants().generate(random.Random(f"invariants:{seed}"))
+    words = [parse_word(ref.word_text(s["word"]), s["flavor"], s["n"]) for s in specs if s["aut"]]
+    assert words
+    for w in words:
+        assert_aut_images_match_oracle(w)
+
+
 def test_work_does_not_grow_with_untouched_strands(monkeypatch):
     """burau and aut_rep of a 3-letter word do the same work at n = 5 and n = 200:
-    the same number of Laurent products and of checked FreeWord constructions."""
+    the same number of Laurent products, of free-group products and of checked
+    FreeWord constructions."""
     calls = Counter()
     mul, post_init = LaurentPoly.__mul__, FreeWord.__post_init__
+    mul_letters = reps.mul_letters
 
     def counting_mul(self, other):
         calls["mul"] += 1
         return mul(self, other)
+
+    def counting_mul_letters(a, b):
+        calls["mul_letters"] += 1
+        return mul_letters(a, b)
 
     def counting_post_init(self):
         calls["post_init"] += 1
         post_init(self)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(reps, "mul_letters", counting_mul_letters)
     monkeypatch.setattr(FreeWord, "__post_init__", counting_post_init)
     work = {}
     for n in (5, 200):
@@ -173,8 +218,8 @@ def test_work_does_not_grow_with_untouched_strands(monkeypatch):
         products = calls["mul"]
         calls.clear()
         aut_rep(w)
-        work[n] = (products, calls["post_init"])
-    assert work[5][0] > 0
+        work[n] = (products, calls["mul_letters"], calls["post_init"])
+    assert work[5][0] > 0 and work[5][1] > 0
     assert work[5] == work[200]
 
 
