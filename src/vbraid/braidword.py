@@ -94,6 +94,14 @@ class Letter:
         return f"{self.kind}{self.index}{suffix}"
 
 
+@lru_cache(maxsize=4096)
+def _letter(kind, i, e):
+    """The checked letter (kind, i, e), built on first use and then shared: the
+    one table of generator letters that relators, block words and shifts take
+    their letters from. Bounded, so shifting by ever new amounts cannot grow it."""
+    return Letter(kind, i, e)
+
+
 def S(i, e=1):
     return Letter("s", i, e)
 
@@ -264,8 +272,8 @@ def relators(flavor, n: int) -> Presentation:
         )
 
     def table(kind, e=1):
-        # each generator letter is built once and shared by every relator
-        return {i: Letter(kind, i, e) for i in range(1, n)}
+        # the letters come from the shared table, so relator sets share them
+        return {i: _letter(kind, i, e) for i in range(1, n)}
 
     # only the tables the flavor's schemas use: sb and sg use s^-1, sg a^-1
     allowed = _ALLOWED_KINDS[flavor]

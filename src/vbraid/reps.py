@@ -29,9 +29,11 @@ keeps each image as a freely reduced tuple of letters, multiplied and
 inverted by `freegrp.mul_letters` and `invert_letters`; only `aut_rep`
 wraps them into FreeWords. `aut_key`, the touched images less those that
 have returned to the identity, is the one key of the Aut image: `verify`
-and `monoidal` both compare it. `burau_rows`
-takes the letters alone and reads each a as s, which is how `verify` checks
-the singular flavors through a_i -> s_i^2. `burau` and
+and `monoidal` both compare it. `burau_rows`, `aut_images` and `aut_key`
+take letters, not a word, and read every letter but z as s: the caller
+checks the flavor. That is how `verify` checks the singular flavors
+through a_i -> s_i^2, and how `monoidal` compares the two sides of
+naturality without building them as words. `burau` and
 `perm_proj` import `lpmatrix` and `perm` when they are called, so a caller
 of the cores alone, `verify` or `abelianize` loads neither module. The cores
 import nothing when called: they run thousands of times per verify sweep.
@@ -133,8 +135,8 @@ def burau(w: GroupWord) -> LPMatrix:
     return LPMatrix(rows)
 
 
-def aut_images(w: GroupWord) -> dict:
-    """The images of x_1, ..., x_n that the word touches: the core of `aut_rep`.
+def aut_images(letters, n) -> dict:
+    """The images of x_1, ..., x_n that a word's letters touch: the core of `aut_rep`.
 
     Built from the right as acc = acc o rho(l) for l = lk, ..., l1: a letter
     at index i changes only the images a, b of x_i, x_{i+1}, to (b, a) for
@@ -142,12 +144,12 @@ def aut_images(w: GroupWord) -> dict:
     {i: image of x_(i+1)} for each image touched, as a freely reduced tuple
     of (generator, +-1) letters; any other image is x_(i+1) itself,
     `identity_letters(n)[i]`, and a touched one may have returned to it. The
-    cost is that of the images the word touches, whatever n is.
+    cost is that of the images the letters touch, whatever n is. Every
+    letter but z is read as s, so the caller checks the flavor.
     """
-    _require_rep_flavor(w)
-    identity = identity_letters(w.n)
+    identity = identity_letters(n)
     touched = {}
-    for lt in reversed(w.letters):
+    for lt in reversed(letters):
         i = lt.index - 1
         a, b = touched.get(i, identity[i]), touched.get(i + 1, identity[i + 1])
         if lt.kind == "z":
@@ -159,12 +161,14 @@ def aut_images(w: GroupWord) -> dict:
     return touched
 
 
-def aut_key(w: GroupWord) -> dict:
-    """i -> image of x_(i+1), as its letter tuple, for each Aut image that is not
-    x_(i+1). The one key of the Aut image: two words of the same n have equal
-    `aut_rep` exactly when their keys are equal, at the cost of `aut_images`."""
-    identity = identity_letters(w.n)
-    return {i: img for i, img in aut_images(w).items() if img != identity[i]}
+def aut_key(letters, n) -> dict:
+    """i -> image of x_(i+1), as its letter tuple, for each Aut image of a
+    word's letters on n strands that is not x_(i+1). The one key of the Aut
+    image: two words of the same n have equal `aut_rep` exactly when their
+    keys are equal, at the cost of `aut_images`. Like `aut_images`, it reads
+    every letter but z as s, so the caller checks the flavor."""
+    identity = identity_letters(n)
+    return {i: img for i, img in aut_images(letters, n).items() if img != identity[i]}
 
 
 def aut_rep(w: GroupWord) -> FreeAut:
@@ -174,7 +178,8 @@ def aut_rep(w: GroupWord) -> FreeAut:
     FreeWord once, so the cost is that of the touched images plus one O(n)
     pass and the FreeAut check.
     """
-    return aut_of_letters(w.n, aut_images(w))
+    _require_rep_flavor(w)
+    return aut_of_letters(w.n, aut_images(w.letters, w.n))
 
 
 def perm_strands(w: GroupWord) -> list:

@@ -59,7 +59,7 @@ def _abelian_detail(a, b):
 _MAPS = {
     "burau": (lambda w: _burau_key(w.letters), _burau_detail),
     "sigma_sq": (_sigma_sq_key, _burau_detail),
-    "aut": (aut_key, lambda a, b: f"Aut image of x{_first_diff(a, b) + 1}"),
+    "aut": (lambda w: aut_key(w.letters, w.n), lambda a, b: f"Aut image of x{_first_diff(a, b) + 1}"),
     "perm": (perm_strands, lambda a, b: f"strand at position {_first_diff(a, b)}"),
     "exp_sum": (exp_sum, lambda a, b: f"exp_sum {a} vs {b}"),
     "abelianize": (abelian_pair, _abelian_detail),

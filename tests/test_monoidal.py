@@ -6,9 +6,9 @@ from conftest import aut_naturality, commutation_normal, random_word, word_coher
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbraid import monoidal
-from vbraid.braidword import Flavor, GroupWord, S, Z, parse_word
-from vbraid.errors import SizeMismatchError, StrandCountError
+from vbraid import braidword, monoidal
+from vbraid.braidword import Flavor, GroupWord, Letter, S, Z, parse_word
+from vbraid.errors import FlavorError, SizeMismatchError, StrandCountError
 from vbraid.lpmatrix import LPMatrix, block_diag
 from vbraid.monoidal import (
     _foata,
@@ -48,6 +48,20 @@ class TestShiftWiden:
             shift(parse_word("s1", "vb", 2), -1)
         with pytest.raises(StrandCountError):
             zeta_block(-1, 2)
+        for sizes in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+            with pytest.raises(StrandCountError):
+                check_coherence(*sizes)
+
+    def test_letter_table_stays_bounded(self):
+        """Shifting one word by 10,000 distinct amounts asks the shared letter
+        table for 30,000 distinct letters; it fills up to its bound and no further."""
+        w = parse_word("s1 z2 s1^-1", "vb", 3)
+        for m in range(10_000):
+            shifted = shift(w, m)
+        assert shifted.letters == (S(10_000), Z(10_001), S(10_000, -1))
+        info = braidword._letter.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize(
         "call",
@@ -176,11 +190,50 @@ class TestNaturality:
             assert check_naturality(m, n, w1, w2) == aut_naturality(m, n, w1, w2), (m, n, w1, w2)
 
     def test_key_comparison_is_not_vacuous(self, monkeypatch):
-        """With the block swaps taken out, the two sides are mu(w1, w2) and
-        mu(w2, w1), whose Aut images differ: the check must then fail."""
-        monkeypatch.setattr(monoidal, "zeta_block", lambda m, n: GroupWord(Flavor.VB, m + n, []))
+        """With the block swaps taken out of the one block pattern, the two
+        sides are mu(w1, w2) and mu(w2, w1), whose Aut images differ: the
+        check must then fail."""
         w1, w2 = parse_word("s1", "vb", 2), parse_word("s1 s2", "vb", 3)
+        assert check_naturality(2, 3, w1, w2)
+        monkeypatch.setattr(monoidal, "_block_indices", lambda m, n: [])
         assert not check_naturality(2, 3, w1, w2)
+
+    @pytest.mark.parametrize(
+        "flavor, text1, text2",
+        [("sb", "s1", "s1"), ("sg", "s1^-1", "s2"), ("sb", "s1", "a1 s2"), ("sg", "a1^-1", "a2")],
+    )
+    def test_singular_flavors_raise_flavor_error(self, flavor, text1, text2):
+        """sb and sg have no Aut F_n representation: naturality raises
+        FlavorError itself, as aut_rep does, whether or not an a letter occurs,
+        and not a LetterNotAllowedError about a word the caller never built."""
+        w1, w2 = parse_word(text1, flavor, 2), parse_word(text2, flavor, 3)
+        with pytest.raises(FlavorError) as raised:
+            check_naturality(2, 3, w1, w2)
+        with pytest.raises(FlavorError) as by_aut_rep:
+            aut_rep(w2)
+        assert raised.type is by_aut_rep.type is FlavorError
+
+
+def test_monoidal_checks_build_no_words(monkeypatch):
+    """After one warm-up call, check_coherence and check_naturality construct
+    no GroupWord and no Letter: they compute on index lists and on the shared
+    generator letters."""
+    w1, w2 = parse_word("s1 z2 s1^-1", "vb", 3), parse_word("z1 s2 z3", "vb", 4)
+    check_coherence(3, 2, 4)
+    check_naturality(3, 4, w1, w2)
+    built = {"GroupWord": 0, "Letter": 0}
+    for cls in (GroupWord, Letter):
+
+        def counting(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert check_coherence(3, 2, 4)
+    assert check_naturality(3, 4, w1, w2)
+    assert built == {"GroupWord": 0, "Letter": 0}
+    zeta_block(3, 2)  # the counting does see a public word
+    assert built == {"GroupWord": 1, "Letter": 0}
 
 
 class TestCoherence:

@@ -158,11 +158,11 @@ def assert_aut_images_match_oracle(w):
     """aut_images' letter tuples are the FreeWord oracle's images, letter for
     letter and built of the letters _INVERSE keeps, and aut_key keeps exactly
     the images that are not the generator itself."""
-    got, want = aut_images(w), freeword_aut_images(w)
+    got, want = aut_images(w.letters, w.n), freeword_aut_images(w)
     assert got == {i: img.letters for i, img in want.items()}, w
     assert all(letter is _INVERSE[_INVERSE[letter]] for img in got.values() for letter in img)
     moved = {i: img.letters for i, img in want.items() if img != FreeWord.generator(i + 1)}
-    assert aut_key(w) == moved, w
+    assert aut_key(w.letters, w.n) == moved, w
 
 
 @pytest.mark.parametrize("flavor", REP_FLAVORS)
