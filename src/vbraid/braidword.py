@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from operator import index
 
 from .errors import (
@@ -364,11 +363,31 @@ def relators(flavor, n: int) -> Presentation:
 
 @dataclass(frozen=True, slots=True)
 class RewriteStep:
-    """One rewrite: replace rule.lhs (direction=+1) or rule.rhs (-1) at position."""
+    """One rewrite: replace rule.lhs (direction=+1) or rule.rhs (-1) at position.
+
+    A rule that is not a ``str``, or a direction or position that is not an
+    integer (a bool included), raises ShapeError; a direction other than
+    +-1 or a negative position raises WitnessError.
+    """
 
     rule: str
     direction: int  # +1 applies lhs -> rhs, -1 applies rhs -> lhs
     position: int
+
+    def __post_init__(self):
+        d, p = self.direction, self.position
+        try:  # checked, not converted, as Letter's fields are; a bool is refused
+            if not isinstance(self.rule, str) or isinstance(d, bool) or isinstance(p, bool):
+                raise TypeError
+            d, p = index(d), index(p)
+        except TypeError:
+            raise ShapeError(
+                f"a step needs a str rule and integer direction and position: {self!r}"
+            ) from None
+        if d not in (1, -1):
+            raise WitnessError(f"step direction must be +-1, got {d}")
+        if p < 0:
+            raise WitnessError(f"step position must be >= 0, got {p}")
 
     def inverted(self):
         return RewriteStep(self.rule, -self.direction, self.position)
@@ -398,16 +417,25 @@ def _splice(w: GroupWord, step: RewriteStep, rule: Relator | None) -> GroupWord:
     if rule is None:
         raise WitnessError(f"step {step} names no rewrite rule")
     src, dst = (rule.lhs, rule.rhs) if step.direction == 1 else (rule.rhs, rule.lhs)
-    p = step.position
-    if w.letters[p : p + len(src)] != src.letters:
+    p, k = step.position, len(src)
+    if p + k > len(w) or w.letters[p : p + k] != src.letters:
         raise WitnessError(f"step {step} does not match word {w}")
-    return w.replace(w.letters[:p] + dst.letters + w.letters[p + len(src) :])
+    return w.replace(w.letters[:p] + dst.letters + w.letters[p + k :])
 
 
 def replay_witness(w: GroupWord, witness, rules) -> GroupWord:
-    """Apply the steps in order; raises WitnessError if one does not apply."""
+    """Apply the steps in order. Raises ShapeError if witness is not a
+    sequence of RewriteSteps, and WitnessError if a step names no rule or its
+    source is not at its position in the word (a position past the word's end
+    included)."""
     by_name = {r.name: r for r in rules}
-    for step in witness:
+    try:
+        steps = iter(witness)
+    except TypeError:
+        raise ShapeError(f"witness must be a sequence of RewriteSteps, got {witness!r}") from None
+    for step in steps:
+        if not isinstance(step, RewriteStep):
+            raise ShapeError(f"witness step {step!r} is not a RewriteStep")
         w = _splice(w, step, by_name.get(step.rule))
     return w
 
@@ -429,51 +457,31 @@ class RewriteEngine:
 
     Move ``2*k`` applies rule k left to right and move ``2*k + 1`` right to
     left; both rewrite search words, which are ``str``s of one character per
-    letter, so that each caches its hash and is sliced and joined in C. Moves
-    are indexed by the first character of their source. Moves with an empty
-    source insert at every position and are kept apart. A move changes a
-    word's length by its growth, and ``matches`` tries only the moves whose
-    result has one of the lengths it is given, insertions included:
-    ``bfs_equal`` gives its last layer the lengths the other side holds, so
-    the moves skipped could not hit, and witnesses and their step order are
-    unchanged.
+    letter, so that each caches its hash and is sliced and joined in C. The
+    moves are one list in move order, ``(move, src, dst, growth)``, where
+    growth is ``len(dst) - len(src)``. ``fitting`` gives the moves whose growth
+    is in a given set, still in move order; there are at most
+    ``2**len(growths)`` such sets, and each list is built once per engine.
     """
 
-    __slots__ = ("rules", "by_first", "inserts", "growths")
+    __slots__ = ("rules", "moves", "growths", "_fitting")
 
     def __init__(self, rules):
         self.rules = rules
-        self.by_first = {}  # first character of src -> [(move, src, dst, growth)]
-        self.inserts = []  # [(move, dst)] for moves whose src is empty
-        self.growths = set()  # len(dst) - len(src) over all moves
+        self.moves = []  # (move, src, dst, growth) in move order
         for k, rule in enumerate(rules):
             lhs, rhs = _chars(rule.lhs.letters), _chars(rule.rhs.letters)
             for move, src, dst in ((2 * k, lhs, rhs), (2 * k + 1, rhs, lhs)):
-                growth = len(dst) - len(src)
-                self.growths.add(growth)
-                if src:
-                    self.by_first.setdefault(src[0], []).append((move, src, dst, growth))
-                else:
-                    self.inserts.append((move, dst))
+                self.moves.append((move, src, dst, len(dst) - len(src)))
+        self.growths = frozenset(growth for *_, growth in self.moves)
+        self._fitting = {}  # frozenset of growths -> the moves with one of them
 
-    def matches(self, word, lengths):
-        """Every (move, position, dst, len(src)) that rewrites word into a word
-        whose length is in lengths, in database order of the moves, then left
-        to right."""
-        size = len(word)
-        fits = {growth for growth in self.growths if size + growth in lengths}
-        if not fits:
-            return []
-        found = []
-        for p, c in enumerate(word):
-            for move, src, dst, growth in self.by_first.get(c, ()):
-                if growth in fits and word.startswith(src, p):
-                    found.append((move, p, dst, len(src)))
-        for move, dst in self.inserts:
-            if len(dst) in fits:
-                found.extend(zip(repeat(move), range(size + 1), repeat(dst), repeat(0)))
-        found.sort()
-        return found
+    def fitting(self, fits):
+        """The moves whose growth is in the frozenset fits, in move order."""
+        moves = self._fitting.get(fits)
+        if moves is None:
+            moves = self._fitting[fits] = [m for m in self.moves if m[3] in fits]
+        return moves
 
     def step(self, move, position, inverted=False):
         direction = -1 if move & 1 else 1
@@ -518,12 +526,17 @@ def bfs_equal(w1: GroupWord, w2: GroupWord, depth: int = 6) -> EqualityResult:
     Returns Equal with a witness replaying w1 into w2, or Unknown if no
     derivation of at most `depth` rewrite steps exists whose words stay within
     max(len(w1), len(w2)) + 2 * depth letters.
-    Unknown is never a claim of inequality. Exploration order (rules in
-    database order, positions left to right) makes the witness deterministic.
-    The search words are ``str``s, one character per letter. The last layer
-    is only looked up in the other side's map, so it tries only the moves
-    whose result has a length that map holds; the moves it skips cannot hit,
-    and the witness and its step order are those of the full search.
+    Unknown is never a claim of inequality. The search words are ``str``s,
+    one character per letter. Each word is rewritten by one scan: the
+    engine's moves in database order, and for each move its positions left
+    to right. A move's source is found with ``str.find`` from one past its
+    last occurrence, so overlapping occurrences are all tried, and a move
+    with an empty source inserts at every position 0..len(word). That scan
+    order is the exploration order and makes the witness deterministic.
+    Only the moves whose result has a wanted length are scanned: one within
+    the length bound, and in the last layer, which is only looked up in the
+    other side's map, one that map holds. The moves skipped cannot hit, so
+    the witness and its step order are those of the full search.
     Raises NegativeDepthError if depth < 0.
     """
     if w1.flavor != w2.flavor or w1.n != w2.n:
@@ -557,28 +570,46 @@ def bfs_equal(w1: GroupWord, w2: GroupWord, depth: int = 6) -> EqualityResult:
         # when it entered the second map
         last = used == depth - 1
         lengths = set(map(len, other)) if last else stored
+        by_size = {}  # word length -> the moves onto a wanted length
         for word in frontier:
-            for move, p, dst, k in engine.matches(word, lengths):
-                nxt = word[:p] + dst + word[p + k :]
-                if last:
-                    if nxt not in other:
+            size = len(word)
+            moves = by_size.get(size)
+            if moves is None:
+                fits = frozenset(g for g in engine.growths if size + g in lengths)
+                moves = by_size[size] = engine.fitting(fits)
+            for move, src, dst, _ in moves:
+                # every occurrence of src, overlapping ones included, left to
+                # right; an empty src is inserted at each of 0..size
+                k = len(src)
+                if k:
+                    if src not in word:
                         continue
-                elif nxt in seen:
-                    continue
-                seen[nxt] = (word, move, p)
-                if nxt in other:
-                    # w1 to nxt by the forward links, then nxt back to w2 by
-                    # undoing the backward links
-                    witness = [
-                        engine.step(m, q)
-                        for m, q in reversed(_links_to_root(fwd, nxt))
-                    ]
-                    witness += [
-                        engine.step(m, q, inverted=True)
-                        for m, q in _links_to_root(bwd, nxt)
-                    ]
-                    return EqualityResult(True, tuple(witness))
-                new_frontier.append(nxt)
+                    positions = [p := word.find(src)]
+                    while (p := word.find(src, p + 1)) >= 0:
+                        positions.append(p)
+                else:
+                    positions = range(size + 1)
+                for p in positions:
+                    nxt = word[:p] + dst + word[p + k :]
+                    if last:
+                        if nxt not in other:
+                            continue
+                    elif nxt in seen:
+                        continue
+                    seen[nxt] = (word, move, p)
+                    if nxt in other:
+                        # w1 to nxt by the forward links, then nxt back to w2
+                        # by undoing the backward links
+                        witness = [
+                            engine.step(m, q)
+                            for m, q in reversed(_links_to_root(fwd, nxt))
+                        ]
+                        witness += [
+                            engine.step(m, q, inverted=True)
+                            for m, q in _links_to_root(bwd, nxt)
+                        ]
+                        return EqualityResult(True, tuple(witness))
+                    new_frontier.append(nxt)
         if expand_forward:
             frontier_f = new_frontier
         else:

@@ -70,7 +70,8 @@ class NegativeDepthError(VbraidError, ValueError):
 
 
 class WitnessError(VbraidError, ValueError):
-    """A rewrite step names no known rule or does not match the word it rewrites."""
+    """A rewrite step with a direction other than +-1 or a negative position, or
+    one that names no known rule or does not match the word it rewrites."""
 
 
 class StrandCountError(VbraidError, ValueError):
@@ -116,5 +117,6 @@ class LaurentTermError(VbraidError, ValueError):
 class ShapeError(VbraidError, TypeError):
     """A value type given a container, or an element of one, of the wrong type:
     a word's letters not ``Letter``s, a matrix entry not a ``LaurentPoly``, an
-    image not a ``FreeWord``, a non-iterable where a sequence is expected, or
+    image not a ``FreeWord``, a witness step not a ``RewriteStep`` or with a
+    field of the wrong type, a non-iterable where a sequence is expected, or
     text given to a JSON decoder that is not JSON."""

@@ -37,6 +37,7 @@ from vbraid.errors import (
     LetterNotAllowedError,
     MonoidHasNoInversesError,
     NegativeDepthError,
+    ShapeError,
     SizeMismatchError,
     StrandCountError,
     UnknownFlavorError,
@@ -354,6 +355,38 @@ class TestBfsEqual:
         with pytest.raises(ValueError):
             replay_witness(w, (step,), rules)
 
+    @pytest.mark.parametrize("direction, position", [(-1, -1), (0, 0), (2, 0)])
+    def test_step_out_of_range_rejected(self, direction, position):
+        # a negative position would splice from the word's end, and a
+        # direction 0 would replay as -1
+        with pytest.raises(WitnessError):
+            RewriteStep("zeta_sq:i=1", direction, position)
+
+    @pytest.mark.parametrize(
+        "rule, direction, position",
+        [("zeta_sq:i=1", True, 0), ("zeta_sq:i=1", 1, False), ("zeta_sq:i=1", 1, 1.0),
+         ("zeta_sq:i=1", "1", 0), (None, 1, 0)],
+    )
+    def test_step_of_wrong_type_rejected(self, rule, direction, position):
+        with pytest.raises(ShapeError):
+            RewriteStep(rule, direction, position)
+
+    def test_step_past_the_word_end(self):
+        w = parse_word("s1 s2", "vb", 3)
+        rules = rewrite_rules("vb", 3)
+        assert replay_witness(w, [RewriteStep("zeta_sq:i=1", -1, 2)], rules) == (
+            parse_word("s1 s2 z1 z1", "vb", 3)
+        )
+        for position in (3, 99):
+            with pytest.raises(WitnessError):
+                replay_witness(w, [RewriteStep("zeta_sq:i=1", -1, position)], rules)
+
+    @pytest.mark.parametrize("witness", [None, 5, [("zeta_sq:i=1", -1, 0)], [None]])
+    def test_witness_not_a_sequence_of_steps(self, witness):
+        w = parse_word("s1 s2", "vb", 3)
+        with pytest.raises(ShapeError):
+            replay_witness(w, witness, rewrite_rules("vb", 3))
+
     def test_negative_depth_rejected(self):
         w = parse_word("s1 s1^-1", "vb", 2)
         with pytest.raises(NegativeDepthError):
@@ -461,8 +494,14 @@ def _insert_letter(rng, w):
 FIXED_SEARCHES = {
     # the forbidden move: a relator in bp, not derivable in vb
     Flavor.BP: [(3, "s1 s2 z1", "z2 s1 s2", 5)],
+    # the only rewrite that meets w2 is at the second of two overlapping
+    # occurrences of its source, at positions 0 and 2
+    Flavor.BR: [(3, "s1 s2 s1 s2 s1", "s1 s2 s2 s1 s2", 1)],
+    Flavor.SYM: [(3, "z1 z2 z1 z2 z1", "z1 z2 z2 z1 z2", 1)],
     Flavor.VB: [
         (3, "s1 s2 z1", "z2 s1 s2", 5),
+        # z1 z1 occurs at 0 and 1; the witness takes the first
+        (3, "z1 z1 z1 s2", "z1 s2", 1),
         # from n = 44 on, the letters of index 43 are past Latin-1
         (44, "z42 z43 s42", "s43 z42 z43", 2),
         (44, "s43 s42 s43", "s42 s43 s42 z43 z43", 2),
