@@ -537,10 +537,17 @@ def bfs_equal(w1: GroupWord, w2: GroupWord, depth: int = 6) -> EqualityResult:
     the length bound, and in the last layer, which is only looked up in the
     other side's map, one that map holds. The moves skipped cannot hit, so
     the witness and its step order are those of the full search.
-    Raises NegativeDepthError if depth < 0.
+    Raises ShapeError if depth is not an integer (a bool included), as
+    RewriteStep does, and NegativeDepthError if depth < 0.
     """
     if w1.flavor != w2.flavor or w1.n != w2.n:
         raise SizeMismatchError("words must share flavor and strand count")
+    try:  # checked, not converted; a bool is refused
+        if isinstance(depth, bool):
+            raise TypeError
+        depth = index(depth)
+    except TypeError:
+        raise ShapeError(f"search depth must be an integer, got {depth!r}") from None
     if depth < 0:
         raise NegativeDepthError(f"search depth must be >= 0, got {depth}")
     if w1.letters == w2.letters:

@@ -37,13 +37,25 @@ both operands repacked at the width the bound requires: the same
 operation at a wider slot, after which the result is unpacked and repacked
 at its least width with its exact ``bits``.
 
+A sum of products, with or without an exact division after it, has one
+kernel, ``dot``: the matrix layer's entries and the Burau rows' shared
+columns are computed by it. It builds the numerator as one packed integer,
+each product's integer shifted to its ``lo`` and added, and canonicalizes
+or divides it once, so no value is built for a product or a partial sum.
+Its width rule is that of ``*`` above: each product's bound is ``*``'s, a
+sum of m products adds (m - 1).bit_length() bits, 64-bit bounds are
+tightened first, and wider slots are taken only if the bound still passes
+62. ``exact_div`` and ``dot`` share one division routine, ``_divide``, which
+divides a packed numerator. ``*``, ``+`` and ``exact_div`` remain the code
+for single operations.
+
 Memory is proportional to the degree span, the highest exponent minus the
 lowest: a value of span m takes (m + 1) * k bits however few of its
 coefficients are nonzero. So a value or an intermediate whose packed integer
 would have more than ``MAX_PACKED_BITS`` bits is refused with
 LaurentTermError before it is built: by the constructor and JSON decoding,
-by ``+``, ``-`` and ``*``, and by ``exact_div`` at a width it would try. A
-two-term input such as ``{0: 1, 10**12: 1}`` would otherwise ask for
+by ``+``, ``-``, ``*`` and ``dot``, and by ``exact_div`` at a width it would
+try. A two-term input such as ``{0: 1, 10**12: 1}`` would otherwise ask for
 terabytes, and ``{0: 2**10000, 10**6: 1}``, with its 10048-bit slots, for
 more than a gigabyte.
 """
@@ -59,7 +71,7 @@ _new = object.__new__
 
 MAX_PACKED_BITS = 1 << 24  # 2 MB: a span of 262,143 at 64-bit slots
 
-_BIAS64 = bytes(7) + b"\x80"  # 2^63 as one little-endian 64-bit slot
+_SLOTS64 = MAX_PACKED_BITS // 64  # the most 64-bit slots a packed integer takes
 
 
 def _width(bits):
@@ -78,11 +90,16 @@ def _unpack(v, k, n):
 
     Adding 2^(k-1) to every slot turns the digits into the unsigned base-2^k
     digits of one nonnegative integer. Its bytes are read as 64-bit words,
-    k / 64 of them to a digit, with no Python loop over carries.
+    k / 64 of them to a digit, with no Python loop over carries. At 64-bit
+    slots, the biased slots with their top bits flipped back are the digits
+    as signed words, read by one struct.unpack.
     """
-    u = v + _bias(n, k)
+    bias = _bias(n, k)
+    u = v + bias
     if u < 0 or u >> (k * n):
         return None
+    if k == 64:
+        return struct.unpack(f"<{n}q", (u ^ bias).to_bytes(8 * n, "little"))
     w = k // 64
     words = struct.unpack(f"<{n * w}Q", u.to_bytes(k * n // 8, "little"))
     digits = words[::w]
@@ -143,6 +160,12 @@ def _make(lo, v, k, bits):
     return out
 
 
+def _strip(lo, v, k):
+    """lo and v with the zero low digits of a nonzero v taken off."""
+    zeros = ((v & -v).bit_length() - 1) // k
+    return lo + zeros, v >> k * zeros
+
+
 def _canonical(lo, v, k, bits):
     """The value whose base-2^k digits from exponent lo are those of v.
 
@@ -153,9 +176,7 @@ def _canonical(lo, v, k, bits):
     if not v:
         return ZERO
     if not v & ((1 << k) - 1):
-        zeros = ((v & -v).bit_length() - 1) // k
-        v >>= k * zeros
-        lo += zeros
+        lo, v = _strip(lo, v, k)
     if k > 64:
         digits = _unpack(v, k, v.bit_length() // k + 1)
         bits = _exact_bits(digits)
@@ -163,6 +184,55 @@ def _canonical(lo, v, k, bits):
         if narrow < k:
             v, k = _pack(digits, narrow), narrow
     return _make(lo, v, k, bits)
+
+
+def _divide(a, d):
+    """a divided exactly by d, for a packed numerator a and a divisor d that is
+    neither zero nor a unit; a remainder raises InexactDivisionError.
+
+    a carries a LaurentPoly's fields with a nonzero lowest digit, but its slots
+    may be wider than its digits need and its ``bits`` may be a loose bound:
+    it is a dividend of ``exact_div`` or a numerator built by ``dot``. The
+    method is ``exact_div``'s, and so is the width rule.
+    """
+    na = a._v.bit_length() // a._k + 1
+    nd = d._v.bit_length() // d._k + 1
+    nq = na - nd + 1
+    if nq > 0:
+        spread = (min(nq, nd) - 1).bit_length()
+        k = max(a._k, d._k)
+        if k == 64:
+            # the first pass on both operands' own 64-bit slots, with no
+            # repacking
+            q, r = divmod(a._v, d._v)
+            if r:
+                raise InexactDivisionError(f"{a} is not divisible by {d}")
+            digits = _unpack(q, 64, nq)
+            if digits is not None:
+                bits = _exact_bits(digits)
+                if bits + d._bits + spread <= 62:
+                    return _make(a._lo - d._lo, q, 64, bits)
+        bound = nq - 1 + a._bits + ((na - 1).bit_length() + 1) // 2
+        last = max(k, _width(bound + d._bits + spread))
+        if k == 64:
+            if last == 64:
+                raise InexactDivisionError(f"{a} is not divisible by {d}")
+            k = 128
+        while True:
+            if na * k > MAX_PACKED_BITS:
+                raise _too_big(na - 1, k)
+            q, r = divmod(_at(a, k), _at(d, k))
+            if r:
+                break
+            digits = _unpack(q, k, nq)
+            if digits is not None:
+                bits = _exact_bits(digits)
+                if bits + d._bits + spread <= k - 2:
+                    return _canonical(a._lo - d._lo, q, k, bits)
+            if k == last:
+                break
+            k = min(2 * k, last)
+    raise InexactDivisionError(f"{a} is not divisible by {d}")
 
 
 def _json_int(x):
@@ -354,7 +424,8 @@ class LaurentPoly:
         |q_i| <= 2^deg(Q) * ||A||_2, and ||A||_2 <= sqrt(#digits(A)) *
         2^bits(A). Failing at that width proves the division inexact. A width
         at which A would pack into more than MAX_PACKED_BITS bits raises
-        LaurentTermError instead.
+        LaurentTermError instead. A unit divisor is a shift; any other runs
+        through ``_divide``, the routine ``dot`` divides its numerators with.
         """
         if not isinstance(other, LaurentPoly):
             raise TypeError(f"cannot divide a LaurentPoly by {type(other).__name__}")
@@ -364,45 +435,7 @@ class LaurentPoly:
             return ZERO
         if other._v == 1 or other._v == -1:  # +-t^e divides exactly: a shift
             return _make(self._lo - other._lo, self._v * other._v, self._k, self._bits)
-        na = self._v.bit_length() // self._k + 1
-        nd = other._v.bit_length() // other._k + 1
-        nq = na - nd + 1
-        if nq > 0:
-            spread = (min(nq, nd) - 1).bit_length()
-            bound = nq - 1 + self._bits + ((na - 1).bit_length() + 1) // 2
-            k = max(self._k, other._k)
-            last = max(k, _width(bound + other._bits + spread))
-            if k == 64:
-                # the first pass on both operands' own 64-bit slots, with no
-                # repacking: the quotient's biased slots, their top bits
-                # flipped, are its digits as signed 64-bit words
-                q, r = divmod(self._v, other._v)
-                if not r:
-                    bias = int.from_bytes(_BIAS64 * nq, "little")
-                    u = q + bias
-                    if u >= 0 and not u >> (64 * nq):
-                        digits = struct.unpack(f"<{nq}q", (u ^ bias).to_bytes(8 * nq, "little"))
-                        bits = max(max(digits), -min(digits)).bit_length()
-                        if bits + other._bits + spread <= 62:
-                            return _make(self._lo - other._lo, q, 64, bits)
-                if r or last == 64:
-                    raise InexactDivisionError(f"{self} is not divisible by {other}")
-                k = 128
-            while True:
-                if na * k > MAX_PACKED_BITS:
-                    raise _too_big(na - 1, k)
-                q, r = divmod(_at(self, k), _at(other, k))
-                if r:
-                    break
-                digits = _unpack(q, k, nq)
-                if digits is not None:
-                    bits = _exact_bits(digits)
-                    if bits + other._bits + spread <= k - 2:
-                        return _canonical(self._lo - other._lo, q, k, bits)
-                if k == last:
-                    break
-                k = min(2 * k, last)
-        raise InexactDivisionError(f"{self} is not divisible by {other}")
+        return _divide(self, other)
 
     def __str__(self):
         terms = self.terms
@@ -436,6 +469,87 @@ class LaurentPoly:
         """Decode to_json's text; text that is not JSON raises ShapeError, and
         bad terms raise as in from_json_obj."""
         return cls.from_json_obj(json_loads(text, "a Laurent polynomial's"))
+
+
+def dot(xs, ys, divisor=None):
+    """The sum of xs[i] * ys[i], divided exactly by `divisor` when one is given.
+
+    xs and ys are equally long sequences of LaurentPoly; a pair with a zero
+    factor is skipped. A division with a remainder raises
+    InexactDivisionError, and a zero divisor ZeroDivisionError.
+
+    This is the one kernel for the sums of products of the matrix layer and
+    of the Burau rows. The numerator is built as one packed integer: each
+    product is one integer product at a common slot width k, shifted by k
+    times its ``lo`` less the least ``lo``, and the shifted products are
+    added. It is then canonicalized once or, with a divisor, divided once by
+    ``exact_div``'s routine, ``_divide``; no value is built for a product or
+    a partial sum.
+
+    The width rule is ``*``'s. Each product's bound is the one ``*`` gives
+    it, and a sum of m products adds (m - 1).bit_length() bits to the
+    largest. Where a pair's bounds and spread, plus the sum's bits over all
+    the pairs, pass 62, its 64-bit operands' bounds are first tightened to
+    their exact bits. Only if the sum's bound still passes 62 are the
+    operands repacked at the width it requires. A numerator that would pack
+    into more than MAX_PACKED_BITS bits raises LaurentTermError, and no
+    integer past that limit is built.
+    """
+    if divisor is not None and not divisor._v:
+        raise ZeroDivisionError("division by the zero polynomial")
+    limit = 62 - (len(xs) - 1).bit_length()
+    m = lo = hi = top = v = 0
+    for x, y in zip(xs, ys):
+        vx, vy = x._v, y._v
+        if vx and vy:
+            e = x._lo + y._lo
+            sx, sy = vx.bit_length() // x._k, vy.bit_length() // y._k
+            spread = (sx if sx < sy else sy).bit_length()
+            if x._bits + y._bits + spread > limit:
+                _tight_bits(x)
+                _tight_bits(y)
+            # `*`'s bound: a unit factor keeps the other's
+            if vx == 1 or vx == -1:
+                bits = y._bits
+            elif vy == 1 or vy == -1:
+                bits = x._bits
+            else:
+                bits = x._bits + y._bits + spread
+            if bits > top:
+                top = bits
+            # the sum at 64-bit slots, kept while it packs within the limit;
+            # a sum that needs wider slots is rebuilt below
+            if not m:
+                lo = hi = e
+            if e + sx + sy > hi:
+                hi = e + sx + sy
+            if e < lo:
+                if hi - e < _SLOTS64:
+                    v <<= 64 * (lo - e)
+                lo = e
+            if hi - lo < _SLOTS64:
+                v += (vx * vy) << (64 * (e - lo))
+            m += 1
+    if not m:
+        return ZERO
+    bits = top + (m - 1).bit_length()
+    k = _width(bits)
+    if (hi - lo + 1) * k > MAX_PACKED_BITS:
+        raise _too_big(hi - lo, k)
+    if k > 64:
+        v = 0
+        for x, y in zip(xs, ys):
+            if x._v and y._v:
+                v += (_at(x, k) * _at(y, k)) << (k * (x._lo + y._lo - lo))
+    if not v:
+        return ZERO
+    if divisor is None:
+        return _canonical(lo, v, k, bits)
+    if divisor._v == 1 or divisor._v == -1:  # a shift, as in exact_div
+        return _canonical(lo - divisor._lo, v * divisor._v, k, bits)
+    if not v & ((1 << k) - 1):
+        lo, v = _strip(lo, v, k)
+    return _divide(_make(lo, v, k, bits), divisor)
 
 
 ZERO = LaurentPoly()

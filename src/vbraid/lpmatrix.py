@@ -4,6 +4,12 @@ Everything is exact. Determinants and inverses share one forward Bareiss
 fraction-free elimination, whose divisions are exact in Z[t, t^-1]; an
 inverse then back-substitutes through the triangle it leaves. Inverses
 exist only for unit determinants +-t^k.
+
+Every entry that is a sum of products is one call of the ring kernel
+``laurent.dot``: a product's entry, a Bareiss update with its exact
+division by the previous pivot, and a back-substitution step with its
+division by the pivot. Each builds its numerator as one packed integer and
+divides it once, with ``*``'s width rule.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .errors import (
     ShapeError,
     as_count,
 )
-from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly, json_dumps, json_loads
+from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly, dot, json_dumps, json_loads
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -104,23 +110,11 @@ def identity_rows(n):
 
 
 def mat_mul(a: LPMatrix, b: LPMatrix) -> LPMatrix:
+    """The product a b; each entry is one `dot` of a row of a and a column of b."""
     if a.n != b.n:
         raise DimensionMismatchError(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
-    n = a.n
     bt = list(zip(*b.entries))
-    out = []
-    for i in range(n):
-        arow = a.entries[i]
-        row = []
-        for j in range(n):
-            bcol = bt[j]
-            acc = ZERO
-            for k in range(n):
-                if arow[k] and bcol[k]:
-                    acc = acc + arow[k] * bcol[k]
-            row.append(acc)
-        out.append(row)
-    return LPMatrix(out)
+    return LPMatrix([[dot(arow, bcol) for bcol in bt] for arow in a.entries])
 
 
 def _bareiss(rows):
@@ -131,12 +125,13 @@ def _bareiss(rows):
     swapped in and negated so the determinant of the left n x n block is
     kept. In the rows below the pivot, entries right of column k become
     (pivot * x - row[k] * pivot_row[j]) divided exactly by the previous
-    pivot (Sylvester's identity; Bareiss, Math. Comp. 22, 1968). Without
-    the second term, a zero stays zero and an entry equal to the previous
-    pivot becomes the pivot, with no product or division. Entries at or
-    left of the pivot column go stale, so rows[i][j] for j > i is the upper
-    triangle U, and rows[i][i] the i-th pivot. The last pivot is the
-    determinant of the left block, or ZERO when some column has no pivot.
+    pivot (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), one fused
+    `dot`. Without the second term, a zero stays zero and an entry equal to
+    the previous pivot becomes the pivot, with no product or division.
+    Entries at or left of the pivot column go stale, so rows[i][j] for j > i
+    is the upper triangle U, and rows[i][i] the i-th pivot. The last pivot
+    is the determinant of the left block, or ZERO when some column has no
+    pivot.
     """
     n = len(rows)
     prev = ONE
@@ -153,7 +148,7 @@ def _bareiss(rows):
             for j in range(k + 1, len(row)):
                 x, y = row[j], pivot_row[j]
                 if neg_f and y:
-                    row[j] = (pivot * x + neg_f * y).exact_div(prev)
+                    row[j] = dot((pivot, neg_f), (x, y), prev)
                 elif x:
                     row[j] = pivot if x == prev else (pivot * x).exact_div(prev)
         prev = pivot
@@ -173,9 +168,10 @@ def mat_inverse(a: LPMatrix) -> LPMatrix:
     raises NonUnitDeterminantError before any further work. Every row of
     [U | B'] is a combination of the rows of [A | I], so [U | B'] = C [A | I]
     for one matrix C: U = C A and B' = C, hence U A^-1 = B'. Back-substitution
-    solves this from the bottom row up, x_i = (b'_i - sum_{j>i} u_ij x_j) / u_ii.
-    Each division is exact, as its quotient x_i is a row of A^-1, whose
-    entries lie in Z[t, t^-1]; the first, by u_nn = det(A), is a shift.
+    solves this from the bottom row up, x_i = (b'_i - sum_{j>i} u_ij x_j) / u_ii,
+    each entry one `dot` of [1, -u_i,i+1, ...] with [b'_i, x_i+1, ...] divided
+    by u_ii. Each division is exact, as its quotient x_i is a row of A^-1,
+    whose entries lie in Z[t, t^-1]; the first, by u_nn = det(A), is a shift.
     """
     n = a.n
     rows = [[*row, *unit] for row, unit in zip(a.entries, identity_rows(n))]
@@ -185,13 +181,8 @@ def mat_inverse(a: LPMatrix) -> LPMatrix:
     inverse = [None] * n
     for i in reversed(range(n)):
         row = rows[i]
-        acc = row[n:]
-        for j in range(i + 1, n):
-            if row[j]:
-                neg_u = -row[j]
-                acc = [e + neg_u * x if x else e for e, x in zip(acc, inverse[j])]
-        pivot = row[i]
-        inverse[i] = [e.exact_div(pivot) for e in acc]
+        coefs = [ONE, *(-u for u in row[i + 1:n])]
+        inverse[i] = [dot(coefs, col, row[i]) for col in zip(row[n:], *inverse[i + 1:])]
     return LPMatrix(inverse)
 
 

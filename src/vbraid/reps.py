@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 from .braidword import Flavor, GroupWord
 from .errors import FlavorError, ParityError
 from .freegrp import FreeAut, aut_of_letters, identity_letters, invert_letters, mul_letters
-from .laurent import ONE, T, T_INV, ZERO
+from .laurent import ONE, T, T_INV, ZERO, dot
 
 _REP_FLAVORS = frozenset({Flavor.BR, Flavor.SYM, Flavor.VB, Flavor.BP})
 
@@ -70,17 +70,24 @@ _ONE_MINUS_TINV = ONE - T_INV
 
 
 def _combine(a, ra, b, rb):
-    """The sparse row a*ra + b*rb: only nonzero entries are multiplied or kept."""
-    out = {c: a * e for c, e in ra.items()}
-    for c, e in rb.items():
-        if c in out:
-            e = out[c] + b * e
-            if not e:  # the two terms cancel
-                del out[c]
-                continue
+    """The sparse row a*ra + b*rb: only nonzero entries are multiplied or kept.
+
+    A column that both rows hold is one `laurent.dot`, which packs the two
+    products into one integer at ``*``'s width and canonicalizes the sum
+    once, building no value for either product; a column of one row takes
+    one product."""
+    out = {}
+    for c, e in ra.items():
+        f = rb.get(c)
+        if f is None:
+            out[c] = a * e
         else:
-            e = b * e
-        out[c] = e
+            e = dot((a, b), (e, f))
+            if e:  # else the two terms cancel
+                out[c] = e
+    for c, e in rb.items():
+        if c not in ra:
+            out[c] = b * e
     return out
 
 

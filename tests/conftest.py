@@ -141,6 +141,112 @@ def gauss_jordan_inverse(a):
     return LPMatrix([[e * det_inv for e in row[n:]] for row in rows])
 
 
+# Oracles: the chained loops that `laurent.dot` replaced in `lpmatrix` and
+# `reps`. Each sum of products is built by `*` and `+`, one value at a time,
+# and each quotient by `exact_div`.
+
+
+def chained_mat_mul(a, b):
+    """mat_mul with one `*` and one `+` per nonzero term of each entry."""
+    n = a.n
+    bt = list(zip(*b.entries))
+    out = []
+    for i in range(n):
+        arow = a.entries[i]
+        row = []
+        for j in range(n):
+            bcol = bt[j]
+            acc = ZERO
+            for k in range(n):
+                if arow[k] and bcol[k]:
+                    acc = acc + arow[k] * bcol[k]
+            row.append(acc)
+        out.append(row)
+    return LPMatrix(out)
+
+
+def chained_bareiss(rows):
+    """lpmatrix._bareiss with each entry update (pivot*x + neg_f*y).exact_div(prev)."""
+    n = len(rows)
+    prev = ONE
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return ZERO
+        if p != k:
+            rows[k], rows[p] = [-e for e in rows[p]], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            neg_f = -row[k]
+            for j in range(k + 1, len(row)):
+                x, y = row[j], pivot_row[j]
+                if neg_f and y:
+                    row[j] = (pivot * x + neg_f * y).exact_div(prev)
+                elif x:
+                    row[j] = pivot if x == prev else (pivot * x).exact_div(prev)
+        prev = pivot
+    return prev
+
+
+def chained_det(a):
+    return chained_bareiss([list(row) for row in a.entries])
+
+
+def chained_inverse(a):
+    """mat_inverse with chained_bareiss and a back-substitution that keeps
+    each row's partial sums in an `acc` list, then divides each entry."""
+    n = a.n
+    rows = [[*row, *unit] for row, unit in zip(a.entries, identity_rows(n))]
+    det = chained_bareiss(rows)
+    if det.is_unit() is None:
+        raise NonUnitDeterminantError(f"determinant {det} is not a unit")
+    inverse = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            if row[j]:
+                neg_u = -row[j]
+                acc = [e + neg_u * x if x else e for e, x in zip(acc, inverse[j])]
+        inverse[i] = [e.exact_div(row[i]) for e in acc]
+    return LPMatrix(inverse)
+
+
+def chained_combine(a, ra, b, rb):
+    """reps._combine with each shared column's sum out[c] + b * e."""
+    out = {c: a * e for c, e in ra.items()}
+    for c, e in rb.items():
+        if c in out:
+            e = out[c] + b * e
+            if not e:
+                del out[c]
+                continue
+        else:
+            e = b * e
+        out[c] = e
+    return out
+
+
+def chained_burau(w):
+    """burau by sparse row updates through chained_combine."""
+    touched = {}
+    for lt in w.letters:
+        i = lt.index - 1
+        ri = touched.get(i) or {i: ONE}
+        rj = touched.get(i + 1) or {i + 1: ONE}
+        if lt.kind == "z":
+            touched[i], touched[i + 1] = rj, ri
+        elif lt.exponent == 1:
+            touched[i], touched[i + 1] = chained_combine(ONE - T, ri, T, rj), ri
+        else:
+            touched[i], touched[i + 1] = rj, chained_combine(T_INV, ri, ONE - T_INV, rj)
+    rows = [list(row) for row in identity_rows(w.n)]
+    for r, entries in touched.items():
+        rows[r] = [entries.get(c, ZERO) for c in range(w.n)]
+    return LPMatrix(rows)
+
+
 def aut_generator(letter, n):
     """Oracle: the automorphism of one generator letter, from fresh generator images."""
     images = [FreeWord.generator(k) for k in range(1, n + 1)]

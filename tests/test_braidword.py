@@ -395,6 +395,14 @@ class TestBfsEqual:
         with pytest.raises(ValueError):
             bfs_equal(w, w, -1)
 
+    @pytest.mark.parametrize("depth", [2.5, "3", None, True], ids=repr)
+    def test_non_integer_depth_rejected(self, depth):
+        """A depth that is not an integer raised a bare TypeError from the
+        search, and True searched depth 1."""
+        w1, w2 = parse_word("s1 s2 s1", "vb", 3), parse_word("s2 s1 s2", "vb", 3)
+        with pytest.raises(ShapeError):
+            bfs_equal(w1, w2, depth)
+
     def test_mismatch_rejected(self):
         with pytest.raises(SizeMismatchError):
             bfs_equal(parse_word("s1", "vb", 2), parse_word("s1", "vb", 3), 1)

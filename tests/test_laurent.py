@@ -437,3 +437,104 @@ def test_unit_factor_shifts_the_other(unit):
     quotient = p.exact_div(unit)
     assert quotient == LaurentPoly({x - e: s * c for x, c in p.terms.items()})
     assert (quotient._k, quotient._bits) == (p._k, p._bits)
+
+
+# laurent.dot, the one sum-of-products kernel of the matrix layer and the
+# Burau rows, against the dict oracle
+
+
+def _dict_dot(xs, ys):
+    acc = {}
+    for x, y in zip(xs, ys):
+        acc = d_add(acc, d_mul(x, y))
+    return acc
+
+
+# small coefficients keep a sum in 64-bit slots; wide ones take wider slots
+dot_terms = st.one_of(
+    st.dictionaries(st.integers(-6, 6), st.integers(-20, 20).filter(bool), max_size=5),
+    wide_terms,
+)
+dot_pairs = st.lists(st.tuples(dot_terms, dot_terms), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dot_pairs, dot_terms)
+def test_dot_matches_dict_oracle(pairs, d):
+    """dot(xs, ys) is the oracle's sum of products; with a divisor it is the
+    oracle's exact quotient, or raises InexactDivisionError as the oracle
+    does. A multiple of the divisor, x * d, always divides."""
+    xs = [LaurentPoly(x) for x, _ in pairs]
+    ys = [LaurentPoly(y) for _, y in pairs]
+    total = _dict_dot([x for x, _ in pairs], [y for _, y in pairs])
+    assert laurent.dot(xs, ys) == LaurentPoly(total)
+    if not d:
+        with pytest.raises(ZeroDivisionError):
+            laurent.dot(xs, ys, ZERO)
+        return
+    pd = LaurentPoly(d)
+    assert laurent.dot([x * pd for x in xs], ys, pd) == LaurentPoly(total)
+    oracle = _div_outcome(d_exact_div, total, d)
+    packed = _div_outcome(lambda a, b: laurent.dot(a, ys, b).terms, xs, pd)
+    assert packed == oracle
+
+
+def test_dot_zeros_units_and_cancellation():
+    p, q = LaurentPoly({-1: 3, 2: -5}), LaurentPoly({0: 2**70, 1: 1})
+    dot = laurent.dot
+    assert dot((), ()) == ZERO
+    assert dot((ZERO, p), (q, ZERO)) == ZERO
+    assert dot((ZERO, p), (q, ONE)) == p
+    assert dot((T, -T_INV), (p, q)) == T * p - T_INV * q
+    # the products cancel: the sum is zero, and so is its quotient
+    assert dot((p, -p), (q, q)) == ZERO
+    assert dot((p, -p), (q, q), p) == ZERO
+    # cancelling low terms leave a value that starts higher
+    assert dot((ONE + T, -ONE), (ONE, ONE)) == T
+    assert dot((ONE + T, -ONE), (p, p), T) == p
+    # a unit divisor is a shift, exact at any width
+    assert dot((p, q), (q, p), -T) == (p * q + q * p).exact_div(-T)
+
+
+def test_dot_wide_slots(monkeypatch):
+    """Coefficients past 2^62 run in slots wider than 64 bits, and the
+    result is narrowed to its least width."""
+    big = LaurentPoly({0: 2**100 + 1, 3: -(2**90)})
+    small = LaurentPoly({0: 3, 1: -1})
+    out = laurent.dot((big, small), (small, big))
+    assert out == LaurentPoly(d_mul(d_mul(big.terms, small.terms), {0: 2}))
+    assert out._k == 128
+    assert laurent.dot((big, -big), (big, big)) == ZERO
+    assert laurent.dot((big,), (small,), small) == big
+    # a sum past 2^62 whose quotient fits 64-bit slots comes back narrowed
+    q = laurent.dot((big, big), (ONE, ONE), big + big)
+    assert q == ONE and q._k == 64
+    # loose 64-bit bounds are tightened before any widening: no operand is
+    # repacked, and the bounds drop to the exact bits
+    a, b = (ONE - T) ** 10, (ONE + T + T**2) ** 8
+    assert a._bits + b._bits > 62
+    widths = spy_widths(monkeypatch)
+    out = laurent.dot((a, b), (b, a))
+    assert widths == [] and out._k == 64
+    assert (a._bits, b._bits) == (8, 11)
+    assert out == LaurentPoly(d_add(d_mul(a.terms, b.terms), d_mul(b.terms, a.terms)))
+
+
+def test_dot_inexact_divisor_raises():
+    p = LaurentPoly({0: 1, 1: 1})
+    with pytest.raises(InexactDivisionError):
+        laurent.dot((p, ONE), (p, ONE), p)
+    with pytest.raises(InexactDivisionError):
+        laurent.dot((p,), (LaurentPoly({0: 2**80}),), LaurentPoly({0: 3, 2: 2**70}))
+    with pytest.raises(ZeroDivisionError):
+        laurent.dot((p,), (p,), ZERO)
+
+
+def test_dot_too_wide_is_refused_before_building():
+    """Two terms 10^9 exponents apart would pack into 64 Gbit: refused
+    before any product or shift is taken."""
+    far = LaurentPoly({10**9: 1})
+    with pytest.raises(LaurentTermError, match="packs into"):
+        laurent.dot((ONE, ONE), (ONE, far))
+    with pytest.raises(LaurentTermError, match="packs into"):
+        laurent.dot((far, ONE), (ONE, ONE), ONE + T)

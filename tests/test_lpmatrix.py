@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import burau_generator, gauss_jordan_inverse, random_word, rep_words
+from conftest import (
+    burau_generator,
+    chained_bareiss,
+    chained_det,
+    chained_inverse,
+    chained_mat_mul,
+    gauss_jordan_inverse,
+    random_word,
+    rep_words,
+)
 
 from vbraid.braidword import Flavor, GroupWord, Letter, invert_word
 from vbraid.errors import (
@@ -18,6 +27,7 @@ from vbraid.errors import (
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
 from vbraid.lpmatrix import (
     LPMatrix,
+    _bareiss,
     block_diag,
     identity_rows,
     mat_det,
@@ -271,10 +281,51 @@ def test_det_and_inverse_with_wide_coefficients():
     upper = LPMatrix([[ONE if i == j else entry() if j > i else ZERO for j in range(n)]
                       for i in range(n)])
     m = mat_mul(lower, upper)
+    assert m == chained_mat_mul(lower, upper)
     assert mat_det(m) == ONE
     assert subset_dp_det(m) == ONE
+    assert mat_inverse(m) == chained_inverse(m)
     assert mat_mul(m, mat_inverse(m)) == LPMatrix.identity(n)
     assert mat_mul(mat_inverse(m), m) == LPMatrix.identity(n)
+
+
+
+# The matrix layer against the chained loops that `laurent.dot` replaced
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_words(("vb", "bp", "br"), max_n=8, max_len=40))
+def test_matrix_layer_matches_chained_loops_on_burau(w):
+    b = burau(w)
+    inv = mat_inverse(b)
+    assert mat_det(b) == chained_det(b)
+    assert inv == chained_inverse(b)
+    assert mat_mul(b, inv) == chained_mat_mul(b, inv) == LPMatrix.identity(w.n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_det_matrices())
+def test_matrix_layer_matches_chained_loops_on_unit_det_products(m):
+    inv = mat_inverse(m)
+    assert mat_det(m) == chained_det(m)
+    assert inv == chained_inverse(m)
+    assert mat_mul(inv, m) == chained_mat_mul(inv, m)
+
+
+@pytest.mark.parametrize("kind", ["unit", "nonunit", "singular"])
+def test_bareiss_rows_match_chained_loop(kind):
+    """Every entry _bareiss leaves in [A | I], stale ones included, is the
+    chained loop's, and so is the product of two random matrices."""
+    rng = random.Random(f"bareiss:{kind}")
+    for n in range(1, 7):
+        for _ in range(6):
+            m = _random_matrix(rng, n, kind)
+            rows = [[*row, *unit] for row, unit in zip(m.entries, identity_rows(n))]
+            chained = [list(row) for row in rows]
+            assert _bareiss(rows) == chained_bareiss(chained)
+            assert rows == chained
+            other = _random_matrix(rng, n, "nonunit")
+            assert mat_mul(m, other) == chained_mat_mul(m, other)
 
 
 class TestBlockDiag:

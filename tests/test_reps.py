@@ -7,6 +7,8 @@ from conftest import (
     aut_product,
     burau_generator,
     burau_product,
+    chained_burau,
+    chained_combine,
     dense_burau,
     freeword_aut_images,
     p_compose,
@@ -117,6 +119,26 @@ def test_burau_matches_dense_rows_and_generator_product(w):
     m = burau(w)
     assert m == dense_burau(w)
     assert m == burau_product(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rep_words(REP_FLAVORS, max_n=9, max_len=60))
+def test_burau_matches_chained_combine(w):
+    """burau_rows' shared-column sums, one `dot` each, are those of the
+    chained `out[c] + b * e` loop, however long the word."""
+    assert burau(w) == chained_burau(w)
+
+
+def test_combine_matches_chained_loop_on_wide_and_cancelling_rows():
+    rng = random.Random(27)
+    entries = [ONE, T, -T_INV, LaurentPoly({0: 2**80, 2: -3}), LaurentPoly({-1: 5, 1: 2**63})]
+    for _ in range(200):
+        ra = {c: rng.choice(entries) for c in rng.sample(range(6), rng.randrange(1, 6))}
+        rb = {c: rng.choice(entries) for c in rng.sample(range(6), rng.randrange(1, 6))}
+        a, b = rng.choice(entries), rng.choice(entries)
+        assert reps._combine(a, ra, b, rb) == chained_combine(a, ra, b, rb)
+    # the shared column cancels and is dropped
+    assert reps._combine(T, {0: ONE, 1: T}, -ONE, {0: T}) == {1: T * T}
 
 
 @settings(max_examples=40, deadline=None)
