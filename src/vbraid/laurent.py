@@ -8,9 +8,7 @@ substitution*, 2009): c_0 t^lo + ... + c_m t^(lo+m) is stored as
 
 with balanced signed digits c_i, so ring operations on values become
 operations on integers: a sum is one shifted addition, a product one integer
-product and an exact quotient one ``divmod``. A product with, or a quotient
-by, a unit +-t^e is a shift of ``lo`` and perhaps a negation of ``v``: the
-other operand's digits, slots and ``bits`` carry over unchanged.
+product and an exact quotient one ``divmod``.
 
 - ``k``, the slot width, is the least multiple of 64 with
   ``max |c_i|.bit_length() <= k - 2``; ``c_0 != 0`` unless the value is zero,
@@ -21,43 +19,47 @@ other operand's digits, slots and ``bits`` carry over unchanged.
   any operation that had to unpack the digits; in 64-bit slots it may be
   loose, since each product and sum adds to its operands' bounds.
 
-**Why no carry occurs.** Reading the digits back is exact as long as every
-digit of a result lies strictly inside the slot, which holds when its
-bit length is at most k - 2. A sum's coefficients have at most
-``max(b1, b2) + 1`` bits; a product's, each a sum of at most m = min(#digits)
-terms, at most ``b1 + b2 + (m - 1).bit_length()`` bits. An operation runs on
-the operands' 64-bit slots when that bound is at most 62. When it is not,
-each operand in 64-bit slots first has its ``bits`` lowered to their exact
-value (one unpack, stored on the operand) and the bound is taken again:
-loose bounds compound along a chain of operations, so values whose
-coefficients are far below 2^62 would otherwise be widened. Tightening puts
-the exact value in place of an upper bound, so the argument above holds
-with it. Only if the new bound still passes 62 does the operation run on
-both operands repacked at the width the bound requires: the same
-operation at a wider slot, after which the result is unpacked and repacked
-at its least width with its exact ``bits``.
+**One kernel, one width rule.** Every sum, product and exact quotient is
+a call of ``dot``, the sum of products Σ x_i y_i with an optional exact
+division: ``a + b`` is ``dot((a, b), (ONE, ONE))``, ``a * b`` is
+``dot((a,), (b,))``, ``a.exact_div(d)`` is ``dot((a,), (ONE,), d)``, and
+the matrix layer's entries and the Burau rows' shared columns are ``dot``s
+of their own. A product with, or a quotient by, a unit +-t^e is a shift of
+``lo`` and perhaps a negation of ``v``: the other operand's digits, slots
+and ``bits`` carry over unchanged. ``*`` makes that shift itself, without
+calling ``dot``; ``dot`` keeps the same fields.
 
-A sum of products, with or without an exact division after it, has one
-kernel, ``dot``: the matrix layer's entries and the Burau rows' shared
-columns are computed by it. It builds the numerator as one packed integer,
-each product's integer shifted to its ``lo`` and added, and canonicalizes
-or divides it once, so no value is built for a product or a partial sum.
-Its width rule is that of ``*`` above: each product's bound is ``*``'s, a
-sum of m products adds (m - 1).bit_length() bits, 64-bit bounds are
-tightened first, and wider slots are taken only if the bound still passes
-62. ``exact_div`` and ``dot`` share one division routine, ``_divide``, which
-divides a packed numerator. ``*``, ``+`` and ``exact_div`` remain the code
-for single operations.
+``dot`` builds the numerator as one packed integer: each product is one
+integer product at a common slot width k, shifted by k times its ``lo``
+less the least ``lo``, and the shifted products are added. Reading the
+digits back is exact as long as every digit lies strictly inside its slot,
+which holds when its bit length is at most k - 2. A product's
+coefficients, each a sum of at most m = min(#digits) terms, have at most
+``b1 + b2 + (m - 1).bit_length()`` bits, or the other factor's bits when
+one factor is a unit; a sum of n products adds ``(n - 1).bit_length()``
+bits to the largest. The sum runs on 64-bit slots when that bound is at
+most 62. Where a pair's bound passes, each of its operands in 64-bit slots
+first has its ``bits`` lowered to their exact value (one unpack, stored on
+the operand) and the bound is taken again: loose bounds compound along a
+chain of operations, so values whose coefficients are far below 2^62 would
+otherwise be widened. Tightening puts the exact value in place of an upper
+bound, so the argument holds with it. Only if the sum's bound still passes
+62 are the operands repacked at the width it requires: the same sum at a
+wider slot. The numerator is then canonicalized once, unpacked and
+repacked at its least width with its exact ``bits`` if its slots are wider
+than 64 bits, or shifted once by a unit divisor, or divided once by
+``_divide``, which widens its quotient by a rule of its own.
 
 Memory is proportional to the degree span, the highest exponent minus the
 lowest: a value of span m takes (m + 1) * k bits however few of its
 coefficients are nonzero. So a value or an intermediate whose packed integer
 would have more than ``MAX_PACKED_BITS`` bits is refused with
 LaurentTermError before it is built: by the constructor and JSON decoding,
-by ``+``, ``-``, ``*`` and ``dot``, and by ``exact_div`` at a width it would
-try. A two-term input such as ``{0: 1, 10**12: 1}`` would otherwise ask for
-terabytes, and ``{0: 2**10000, 10**6: 1}``, with its 10048-bit slots, for
-more than a gigabyte.
+by ``dot`` and so by ``+``, ``-``, ``*`` and ``exact_div``, and by
+``_divide`` at a width it would try. A two-term input such as
+``{0: 1, 10**12: 1}`` would otherwise ask for terabytes, and
+``{0: 2**10000, 10**6: 1}``, with its 10048-bit slots, for more than a
+gigabyte.
 """
 
 from __future__ import annotations
@@ -149,7 +151,8 @@ def _at(p, k):
 
 def _too_big(span, k):
     return LaurentTermError(
-        f"exponent span {span} in {k}-bit slots packs into {(span + 1) * k} bits,"
+        f"exponent span {_int_text(span)} in {k}-bit slots packs into"
+        f" {_int_text((span + 1) * k)} bits,"
         f" above the limit of {MAX_PACKED_BITS}"
     )
 
@@ -190,10 +193,27 @@ def _divide(a, d):
     """a divided exactly by d, for a packed numerator a and a divisor d that is
     neither zero nor a unit; a remainder raises InexactDivisionError.
 
-    a carries a LaurentPoly's fields with a nonzero lowest digit, but its slots
-    may be wider than its digits need and its ``bits`` may be a loose bound:
-    it is a dividend of ``exact_div`` or a numerator built by ``dot``. The
-    method is ``exact_div``'s, and so is the width rule.
+    a is a numerator built by ``dot``: it carries a LaurentPoly's fields with
+    a nonzero lowest digit, but its slots may be wider than its digits need
+    and its ``bits`` may be a loose bound.
+
+    Write A = a and D = d shifted to start at t^0, and X = 2^k for a slot
+    width k. A = Q * D gives A(X) = Q(X) * D(X), so a nonzero remainder of
+    the packed integers proves the division inexact at any width. When the
+    remainder is zero, the integer quotient q is unpacked into balanced
+    digits Q'. If ``bits(Q') + bits(D) + (min(#digits) - 1).bit_length() <=
+    k - 2``, Q' * D has no carry between slots, so its digits are those of
+    its packed integer q * D(X) = A(X), which are A's: Q' * D = A, and Q' is
+    the quotient.
+
+    The test is made first at the operands' own width, 64 bits for any
+    coefficients below 2^62. While it fails, the division is redone at twice
+    the width, up to a width where a true quotient must pass: by the
+    Landau-Mignotte bound, every coefficient of an exact quotient has
+    |q_i| <= 2^deg(Q) * ||A||_2, and ||A||_2 <= sqrt(#digits(A)) * 2^bits(A).
+    Failing at that width proves the division inexact. A width at which A
+    would pack into more than MAX_PACKED_BITS bits raises LaurentTermError
+    instead.
     """
     na = a._v.bit_length() // a._k + 1
     nd = d._v.bit_length() // d._k + 1
@@ -235,6 +255,41 @@ def _divide(a, d):
     raise InexactDivisionError(f"{a} is not divisible by {d}")
 
 
+def _int_text(n):
+    """str(n), exact past the interpreter's limit on int-to-str digits.
+
+    Past it, n is converted by ``decimal``, imported only then, as
+    hi * 2^h + lo split on its bits: libmpdec converts one int in quadratic
+    time (17 s for 10^6 digits on a 2-vCPU VM), the split in 0.6 s, and a
+    coefficient may have the ~5M digits that MAX_PACKED_BITS admits.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    import decimal
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+    def to_decimal(m):
+        if m.bit_length() <= 8192:
+            return decimal.Decimal(m)
+        h = m.bit_length() >> 1
+        return ctx.fma(to_decimal(m >> h), ctx.power(2, h), to_decimal(m & ((1 << h) - 1)))
+
+    return ("-" if n < 0 else "") + str(to_decimal(abs(n)))
+
+
+def _digits_int(s):
+    """int(s) for a string of ASCII digits, split into halves where it passes
+    the interpreter's limit on str-to-int digits: exact, in subquadratic time."""
+    try:
+        return int(s)
+    except ValueError:
+        half = len(s) // 2
+        return _digits_int(s[:-half]) * 10**half + _digits_int(s[-half:])
+
+
 def _json_int(x):
     """A JSON exponent or coefficient: a string spelling an integer, or an integer."""
     if not isinstance(x, str):
@@ -242,6 +297,12 @@ def _json_int(x):
     try:
         return int(x)
     except ValueError:
+        body = x.strip()
+        sign = -1 if body.startswith("-") else 1
+        if body.startswith(("+", "-")):
+            body = body[1:]
+        if body.isascii() and body.isdigit():  # too many digits for int()
+            return sign * _digits_int(body)
         raise LaurentTermError(f"JSON term {x!r} is not an integer") from None
 
 
@@ -337,21 +398,7 @@ class LaurentPoly:
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not other._v:
-            return self
-        if not self._v:
-            return other
-        a, b = (self, other) if self._lo <= other._lo else (other, self)
-        # the sum spans this many exponents, or a's own, which is no wider
-        span = b._lo - a._lo + b._v.bit_length() // b._k
-        bits = max(a._bits, b._bits) + 1
-        if bits > 62:
-            bits = max(_tight_bits(a), _tight_bits(b)) + 1
-        k = _width(bits)
-        if (span + 1) * k > MAX_PACKED_BITS:
-            raise _too_big(span, k)
-        v = _at(a, k) + (_at(b, k) << (k * (b._lo - a._lo)))
-        return _canonical(a._lo, v, k, bits)
+        return dot((self, other), (ONE, ONE))
 
     def __neg__(self):
         return _make(self._lo, -self._v, self._k, self._bits)
@@ -366,28 +413,22 @@ class LaurentPoly:
             return self
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        v1, v2 = self._v, other._v
-        if not v1 or not v2:
-            return ZERO
-        lo = self._lo + other._lo
         # a unit +-t^e shifts the other factor and maybe flips its signs
-        if v1 == 1 or v1 == -1:
-            return _make(lo, v1 * v2, other._k, other._bits)
-        if v2 == 1 or v2 == -1:
-            return _make(lo, v1 * v2, self._k, self._bits)
-        span1, span2 = v1.bit_length() // self._k, v2.bit_length() // other._k
-        spread = min(span1, span2).bit_length()
-        bits = self._bits + other._bits + spread
-        if bits > 62:
-            bits = _tight_bits(self) + _tight_bits(other) + spread
-        k = _width(bits)
-        if (span1 + span2 + 1) * k > MAX_PACKED_BITS:
-            raise _too_big(span1 + span2, k)
-        if k == 64:
-            return _make(lo, v1 * v2, 64, bits)
-        return _canonical(lo, _at(self, k) * _at(other, k), k, bits)
+        v1, v2 = self._v, other._v
+        if v2 and (v1 == 1 or v1 == -1):
+            return _make(self._lo + other._lo, v1 * v2, other._k, other._bits)
+        if v1 and (v2 == 1 or v2 == -1):
+            return _make(self._lo + other._lo, v1 * v2, self._k, self._bits)
+        return dot((self,), (other,))
 
     def __pow__(self, k):
+        # an exponent that is a bool or not an integer gets Python's own TypeError
+        if isinstance(k, bool):
+            return NotImplemented
+        try:
+            k = index(k)
+        except TypeError:
+            return NotImplemented
         if k < 0:
             unit = self.is_unit()
             if unit is None:
@@ -405,52 +446,32 @@ class LaurentPoly:
         return result
 
     def exact_div(self, other):
-        """Exact division by a nonzero divisor; a remainder raises InexactDivisionError.
+        """Exact division by a nonzero divisor: ``dot((self,), (ONE,), other)``.
 
-        Write A = self and D = other shifted to start at t^0, and X = 2^k for
-        a slot width k. A = Q * D gives A(X) = Q(X) * D(X), so a nonzero
-        remainder of the packed integers proves the division inexact at any
-        width. When the remainder is zero, the integer quotient q is unpacked
-        into balanced digits Q'. If
-        ``bits(Q') + bits(D) + (min(#digits) - 1).bit_length() <= k - 2``,
-        Q' * D has no carry between slots, so its digits are those of its
-        packed integer q * D(X) = A(X), which are A's: Q' * D = A, and Q' is
-        the quotient.
-
-        The test is made first at the operands' own width, 64 bits for any
-        coefficients below 2^62. While it fails, the division is redone at
-        twice the width, up to a width where a true quotient must pass: by
-        the Landau-Mignotte bound, every coefficient of an exact quotient has
-        |q_i| <= 2^deg(Q) * ||A||_2, and ||A||_2 <= sqrt(#digits(A)) *
-        2^bits(A). Failing at that width proves the division inexact. A width
-        at which A would pack into more than MAX_PACKED_BITS bits raises
-        LaurentTermError instead. A unit divisor is a shift; any other runs
-        through ``_divide``, the routine ``dot`` divides its numerators with.
+        A remainder raises InexactDivisionError and a zero divisor
+        ZeroDivisionError. A unit divisor +-t^e is a shift; any other divides
+        through ``_divide``, whose docstring proves the division exact.
         """
         if not isinstance(other, LaurentPoly):
             raise TypeError(f"cannot divide a LaurentPoly by {type(other).__name__}")
-        if not other._v:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self._v:
-            return ZERO
-        if other._v == 1 or other._v == -1:  # +-t^e divides exactly: a shift
-            return _make(self._lo - other._lo, self._v * other._v, self._k, self._bits)
-        return _divide(self, other)
+        return dot((self,), (ONE,), other)
 
     def __str__(self):
         terms = self.terms
         if not terms:
             return "0"
         return " + ".join(
-            str(coef) if exp == 0 else f"{coef}*t^{exp}" for exp, coef in terms.items()
+            _int_text(coef) if exp == 0 else f"{_int_text(coef)}*t^{_int_text(exp)}"
+            for exp, coef in terms.items()
         )
 
     def __repr__(self):
-        return f"LaurentPoly({self.terms!r})"
+        terms = ", ".join(f"{_int_text(e)}: {_int_text(c)}" for e, c in self.terms.items())
+        return f"LaurentPoly({{{terms}}})"
 
     def to_json_obj(self):
         """JSON encoding: {exponent-as-string: coefficient-as-string}."""
-        return {str(e): str(c) for e, c in self.terms.items()}
+        return {_int_text(e): _int_text(c) for e, c in self.terms.items()}
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -478,22 +499,13 @@ def dot(xs, ys, divisor=None):
     factor is skipped. A division with a remainder raises
     InexactDivisionError, and a zero divisor ZeroDivisionError.
 
-    This is the one kernel for the sums of products of the matrix layer and
-    of the Burau rows. The numerator is built as one packed integer: each
-    product is one integer product at a common slot width k, shifted by k
-    times its ``lo`` less the least ``lo``, and the shifted products are
-    added. It is then canonicalized once or, with a divisor, divided once by
-    ``exact_div``'s routine, ``_divide``; no value is built for a product or
-    a partial sum.
-
-    The width rule is ``*``'s. Each product's bound is the one ``*`` gives
-    it, and a sum of m products adds (m - 1).bit_length() bits to the
-    largest. Where a pair's bounds and spread, plus the sum's bits over all
-    the pairs, pass 62, its 64-bit operands' bounds are first tightened to
-    their exact bits. Only if the sum's bound still passes 62 are the
-    operands repacked at the width it requires. A numerator that would pack
-    into more than MAX_PACKED_BITS bits raises LaurentTermError, and no
-    integer past that limit is built.
+    This is the ring's one kernel: ``+``, ``*`` and ``exact_div`` call it,
+    as do the matrix layer and the Burau rows. The numerator is built as one
+    packed integer and canonicalized once or, with a divisor, divided once
+    by ``_divide``; no value is built for a product or a partial sum. Its
+    slot width, and why no digit carries, is in the module docstring. A
+    numerator that would pack into more than MAX_PACKED_BITS bits raises
+    LaurentTermError, and no integer past that limit is built.
     """
     if divisor is not None and not divisor._v:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -508,7 +520,7 @@ def dot(xs, ys, divisor=None):
             if x._bits + y._bits + spread > limit:
                 _tight_bits(x)
                 _tight_bits(y)
-            # `*`'s bound: a unit factor keeps the other's
+            # a product's bound: a unit factor keeps the other's
             if vx == 1 or vx == -1:
                 bits = y._bits
             elif vy == 1 or vy == -1:
@@ -545,7 +557,7 @@ def dot(xs, ys, divisor=None):
         return ZERO
     if divisor is None:
         return _canonical(lo, v, k, bits)
-    if divisor._v == 1 or divisor._v == -1:  # a shift, as in exact_div
+    if divisor._v == 1 or divisor._v == -1:  # a unit divisor is a shift
         return _canonical(lo - divisor._lo, v * divisor._v, k, bits)
     if not v & ((1 << k) - 1):
         lo, v = _strip(lo, v, k)

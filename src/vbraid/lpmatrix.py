@@ -5,11 +5,12 @@ fraction-free elimination, whose divisions are exact in Z[t, t^-1]; an
 inverse then back-substitutes through the triangle it leaves. Inverses
 exist only for unit determinants +-t^k.
 
-Every entry that is a sum of products is one call of the ring kernel
-``laurent.dot``: a product's entry, a Bareiss update with its exact
-division by the previous pivot, and a back-substitution step with its
-division by the pivot. Each builds its numerator as one packed integer and
-divides it once, with ``*``'s width rule.
+Every entry computed here is one call of the ring kernel ``laurent.dot``,
+which ``+``, ``*`` and ``exact_div`` also call: a product's entry, a Bareiss
+update with its exact division by the previous pivot, and a
+back-substitution step with its division by the pivot. Each builds its
+numerator as one packed integer and divides it once, under the ring's one
+width rule.
 """
 
 from __future__ import annotations
@@ -126,8 +127,10 @@ def _bareiss(rows):
     kept. In the rows below the pivot, entries right of column k become
     (pivot * x - row[k] * pivot_row[j]) divided exactly by the previous
     pivot (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), one fused
-    `dot`. Without the second term, a zero stays zero and an entry equal to
-    the previous pivot becomes the pivot, with no product or division.
+    `dot`. Without the second term it is the one-pair `dot` of pivot and x
+    over the previous pivot, except that a zero stays zero and an entry
+    equal to the previous pivot becomes the pivot, with no product or
+    division.
     Entries at or left of the pivot column go stale, so rows[i][j] for j > i
     is the upper triangle U, and rows[i][i] the i-th pivot. The last pivot
     is the determinant of the left block, or ZERO when some column has no
@@ -150,7 +153,7 @@ def _bareiss(rows):
                 if neg_f and y:
                     row[j] = dot((pivot, neg_f), (x, y), prev)
                 elif x:
-                    row[j] = pivot if x == prev else (pivot * x).exact_div(prev)
+                    row[j] = pivot if x == prev else dot((pivot,), (x,), prev)
         prev = pivot
     return prev
 

@@ -142,64 +142,80 @@ def gauss_jordan_inverse(a):
 
 
 # Oracles: the chained loops that `laurent.dot` replaced in `lpmatrix` and
-# `reps`. Each sum of products is built by `*` and `+`, one value at a time,
-# and each quotient by `exact_div`.
+# `reps`, run on the dict ring below (d_add, d_neg, d_mul, d_exact_div) over
+# each entry's `.terms`: one product, sum or quotient at a time. They do no
+# LaurentPoly arithmetic, which is all built on `dot`, so comparing the
+# matrix layer with them does not compare `dot` with itself.
+
+
+def _dict_rows(m):
+    return [[e.terms for e in row] for row in m.entries]
+
+
+def _matrix(rows):
+    return LPMatrix([[LaurentPoly(e) for e in row] for row in rows])
 
 
 def chained_mat_mul(a, b):
-    """mat_mul with one `*` and one `+` per nonzero term of each entry."""
-    n = a.n
-    bt = list(zip(*b.entries))
+    """mat_mul with one product and one sum per nonzero term of each entry."""
+    bt = list(zip(*_dict_rows(b)))
     out = []
-    for i in range(n):
-        arow = a.entries[i]
+    for arow in _dict_rows(a):
         row = []
-        for j in range(n):
-            bcol = bt[j]
-            acc = ZERO
-            for k in range(n):
-                if arow[k] and bcol[k]:
-                    acc = acc + arow[k] * bcol[k]
+        for bcol in bt:
+            acc = {}
+            for x, y in zip(arow, bcol):
+                if x and y:
+                    acc = d_add(acc, d_mul(x, y))
             row.append(acc)
         out.append(row)
-    return LPMatrix(out)
+    return _matrix(out)
 
 
-def chained_bareiss(rows):
-    """lpmatrix._bareiss with each entry update (pivot*x + neg_f*y).exact_div(prev)."""
+def _dict_bareiss(rows):
+    """lpmatrix._bareiss on dict rows, each entry update (pivot*x + neg_f*y) / prev."""
     n = len(rows)
-    prev = ONE
+    prev = {0: 1}
     for k in range(n):
         p = next((i for i in range(k, n) if rows[i][k]), None)
         if p is None:
-            return ZERO
+            return {}
         if p != k:
-            rows[k], rows[p] = [-e for e in rows[p]], rows[k]
+            rows[k], rows[p] = [d_neg(e) for e in rows[p]], rows[k]
         pivot_row = rows[k]
         pivot = pivot_row[k]
         for row in rows[k + 1:]:
-            neg_f = -row[k]
+            neg_f = d_neg(row[k])
             for j in range(k + 1, len(row)):
                 x, y = row[j], pivot_row[j]
                 if neg_f and y:
-                    row[j] = (pivot * x + neg_f * y).exact_div(prev)
+                    row[j] = d_exact_div(d_add(d_mul(pivot, x), d_mul(neg_f, y)), prev)
                 elif x:
-                    row[j] = pivot if x == prev else (pivot * x).exact_div(prev)
+                    row[j] = pivot if x == prev else d_exact_div(d_mul(pivot, x), prev)
         prev = pivot
     return prev
 
 
+def chained_bareiss(rows):
+    """_dict_bareiss on rows of LaurentPoly, whose entries it replaces in place."""
+    terms = [[e.terms for e in row] for row in rows]
+    prev = _dict_bareiss(terms)
+    rows[:] = [[LaurentPoly(e) for e in row] for row in terms]
+    return LaurentPoly(prev)
+
+
 def chained_det(a):
-    return chained_bareiss([list(row) for row in a.entries])
+    return LaurentPoly(_dict_bareiss(_dict_rows(a)))
 
 
 def chained_inverse(a):
-    """mat_inverse with chained_bareiss and a back-substitution that keeps
+    """mat_inverse with _dict_bareiss and a back-substitution that keeps
     each row's partial sums in an `acc` list, then divides each entry."""
     n = a.n
-    rows = [[*row, *unit] for row, unit in zip(a.entries, identity_rows(n))]
-    det = chained_bareiss(rows)
-    if det.is_unit() is None:
+    rows = [[*row, *({0: 1} if i == j else {} for j in range(n))]
+            for i, row in enumerate(_dict_rows(a))]
+    det = _dict_bareiss(rows)
+    if len(det) != 1 or abs(*det.values()) != 1:
         raise NonUnitDeterminantError(f"determinant {det} is not a unit")
     inverse = [None] * n
     for i in reversed(range(n)):
@@ -207,44 +223,48 @@ def chained_inverse(a):
         acc = row[n:]
         for j in range(i + 1, n):
             if row[j]:
-                neg_u = -row[j]
-                acc = [e + neg_u * x if x else e for e, x in zip(acc, inverse[j])]
-        inverse[i] = [e.exact_div(row[i]) for e in acc]
-    return LPMatrix(inverse)
+                neg_u = d_neg(row[j])
+                acc = [d_add(e, d_mul(neg_u, x)) if x else e for e, x in zip(acc, inverse[j])]
+        inverse[i] = [d_exact_div(e, row[i]) for e in acc]
+    return _matrix(inverse)
 
 
-def chained_combine(a, ra, b, rb):
-    """reps._combine with each shared column's sum out[c] + b * e."""
-    out = {c: a * e for c, e in ra.items()}
+def _dict_combine(a, ra, b, rb):
+    """reps._combine on dict entries, each shared column's sum out[c] + b * e."""
+    out = {c: d_mul(a, e) for c, e in ra.items()}
     for c, e in rb.items():
-        if c in out:
-            e = out[c] + b * e
-            if not e:
-                del out[c]
-                continue
+        e = d_add(out[c], d_mul(b, e)) if c in out else d_mul(b, e)
+        if e:
+            out[c] = e
         else:
-            e = b * e
-        out[c] = e
+            del out[c]
     return out
 
 
+def chained_combine(a, ra, b, rb):
+    """_dict_combine on LaurentPoly factors and sparse rows {column: LaurentPoly}."""
+    ra, rb = ({c: e.terms for c, e in r.items()} for r in (ra, rb))
+    return {c: LaurentPoly(e) for c, e in _dict_combine(a.terms, ra, b.terms, rb).items()}
+
+
 def chained_burau(w):
-    """burau by sparse row updates through chained_combine."""
+    """burau by sparse dict row updates through _dict_combine."""
+    one_minus_t, t, t_inv, one_minus_t_inv = {0: 1, 1: -1}, {1: 1}, {-1: 1}, {0: 1, -1: -1}
     touched = {}
     for lt in w.letters:
         i = lt.index - 1
-        ri = touched.get(i) or {i: ONE}
-        rj = touched.get(i + 1) or {i + 1: ONE}
+        ri = touched.get(i) or {i: {0: 1}}
+        rj = touched.get(i + 1) or {i + 1: {0: 1}}
         if lt.kind == "z":
             touched[i], touched[i + 1] = rj, ri
         elif lt.exponent == 1:
-            touched[i], touched[i + 1] = chained_combine(ONE - T, ri, T, rj), ri
+            touched[i], touched[i + 1] = _dict_combine(one_minus_t, ri, t, rj), ri
         else:
-            touched[i], touched[i + 1] = rj, chained_combine(T_INV, ri, ONE - T_INV, rj)
-    rows = [list(row) for row in identity_rows(w.n)]
+            touched[i], touched[i + 1] = rj, _dict_combine(t_inv, ri, one_minus_t_inv, rj)
+    rows = [[{0: 1} if r == c else {} for c in range(w.n)] for r in range(w.n)]
     for r, entries in touched.items():
-        rows[r] = [entries.get(c, ZERO) for c in range(w.n)]
-    return LPMatrix(rows)
+        rows[r] = [entries.get(c, {}) for c in range(w.n)]
+    return _matrix(rows)
 
 
 def aut_generator(letter, n):

@@ -128,6 +128,31 @@ def test_str_forms():
     assert str(poly({-2: 3})) == "3*t^-2"
 
 
+BIG = 10**5000 + 7  # 5001 digits, past the interpreter's default of 4300
+BIG_TEXT = "1" + "0" * 4999 + "7"
+
+
+def test_big_coefficients_as_text():
+    """Coefficients and exponents with more digits than int() and str() take
+    by default are legal values: str, repr and JSON write them exactly, JSON
+    reads them back, and error messages write them too."""
+    p = LaurentPoly({-3: -BIG, 0: 2, 5: BIG})
+    assert str(p) == f"-{BIG_TEXT}*t^-3 + 2 + {BIG_TEXT}*t^5"
+    assert repr(p) == f"LaurentPoly({{-3: -{BIG_TEXT}, 0: 2, 5: {BIG_TEXT}}})"
+    assert json.loads(p.to_json()) == {"-3": "-" + BIG_TEXT, "0": "2", "5": BIG_TEXT}
+    far = LaurentPoly({BIG: -1})
+    assert str(far) == f"-1*t^{BIG_TEXT}"
+    for value in (p, far):
+        assert LaurentPoly.from_json(value.to_json()) == value
+    assert LaurentPoly.from_json_obj({"0": " +" + BIG_TEXT}) == LaurentPoly({0: BIG})
+    for bad in ("1.5" + BIG_TEXT, BIG_TEXT + "x", "--" + BIG_TEXT, "\u00b2" * 5000):
+        with pytest.raises(LaurentTermError, match="not an integer"):
+            LaurentPoly.from_json_obj({"0": bad})
+    # a span too wide to pack is refused with its size written out
+    with pytest.raises(LaurentTermError, match=f"exponent span {BIG_TEXT} in 64-bit slots"):
+        LaurentPoly({0: 1, BIG: 1})
+
+
 def test_exact_div():
     a = poly({0: 1, 1: -2, 2: 1})
     b = poly({0: 1, 1: -1})
@@ -188,6 +213,14 @@ def test_pow():
 def test_negative_power_of_non_unit_raises_typed_error():
     with pytest.raises(InexactDivisionError):
         poly({0: 1, 1: 1}) ** -1
+
+
+@pytest.mark.parametrize("exponent", [True, False, 1.5, "2", None], ids=repr)
+def test_power_needs_an_integer_exponent(exponent):
+    """A bool, like any exponent that is not an integer, gets Python's own
+    TypeError for ** instead of counting as 1 or 0."""
+    with pytest.raises(TypeError, match=r"for \*\* or pow\(\)"):
+        T**exponent
 
 
 # Coefficients that stress the packed form: small ones, ones up to 2^200 that

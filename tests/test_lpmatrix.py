@@ -366,6 +366,13 @@ def test_json_round_trip():
         assert LPMatrix.from_json(b.to_json()) == b
 
 
+def test_json_round_trip_with_5000_digit_coefficients():
+    big = 10**5000 + 7  # past the interpreter's default limit of 4300 digits
+    m = LPMatrix([[LaurentPoly({0: big, 2: -1}), ZERO], [ONE, LaurentPoly({-1: -big})]])
+    assert LPMatrix.from_json(m.to_json()) == m
+    assert repr(m).startswith("LPMatrix([['1" + "0" * 4999 + "7 + -1*t^2', '0']")
+
+
 def test_json_sparse_entries_refused_past_the_matrix_budget(monkeypatch):
     """461 bytes of JSON ask for 16 entries of MAX_PACKED_BITS each; the fifth
     passes the 4 x MAX_PACKED_BITS budget and raises before the rest are built."""
