@@ -169,6 +169,17 @@ class GroupWord:
         return self.replace(self.letters + other.letters)
 
 
+def _trusted_word(flavor, n, letters):
+    """The GroupWord of `letters`, a tuple of letters that ``GroupWord(flavor,
+    n, ...)`` admits, for a Flavor and an int n >= 0; it skips the
+    constructor's checks, so only this module calls it."""
+    out = object.__new__(GroupWord)
+    object.__setattr__(out, "flavor", flavor)
+    object.__setattr__(out, "n", n)
+    object.__setattr__(out, "letters", letters)
+    return out
+
+
 _TOKEN_RE = re.compile(r"([sza])0*([1-9][0-9]*)(\^-1)?$")
 
 
@@ -257,7 +268,14 @@ class Presentation:
 
 
 def relators(flavor, n: int) -> Presentation:
-    """Every instance of every relation schema of the presentation, for given n."""
+    """Every instance of every relation schema of the presentation, for given n.
+
+    The letters come from tables of s, z, a, s^-1 and a^-1 at indices
+    1..n-1, only those the flavor's schemas use. ``GroupWord`` checks each
+    table's letters once, as one word; every relator side is a tuple of
+    those letters and is built by ``_trusted_word``, with no check of its
+    own. Not cached: each call builds a new Presentation.
+    """
     flavor = Flavor(flavor)
     n = as_count(n)
     if n < 2:
@@ -267,12 +285,14 @@ def relators(flavor, n: int) -> Presentation:
 
     def add(name, lhs, rhs):
         rels.append(
-            Relator(name, GroupWord(flavor, n, lhs), GroupWord(flavor, n, rhs))
+            Relator(name, _trusted_word(flavor, n, lhs), _trusted_word(flavor, n, rhs))
         )
 
     def table(kind, e=1):
-        # the letters come from the shared table, so relator sets share them
-        return {i: _letter(kind, i, e) for i in range(1, n)}
+        # the letters come from the shared table, so relator sets share them;
+        # GroupWord admits them once here, for every side built from them
+        letters = GroupWord(flavor, n, [_letter(kind, i, e) for i in range(1, n)]).letters
+        return dict(enumerate(letters, 1))
 
     # only the tables the flavor's schemas use: sb and sg use s^-1, sg a^-1
     allowed = _ALLOWED_KINDS[flavor]
@@ -281,77 +301,77 @@ def relators(flavor, n: int) -> Presentation:
 
     if "z" in allowed:
         for i in range(1, n):
-            add(f"zeta_sq:i={i}", [z[i], z[i]], [])
+            add(f"zeta_sq:i={i}", (z[i], z[i]), ())
         for i in range(1, n):
             for j in range(i + 2, n):
-                add(f"zeta_comm:i={i},j={j}", [z[i], z[j]], [z[j], z[i]])
+                add(f"zeta_comm:i={i},j={j}", (z[i], z[j]), (z[j], z[i]))
         for i in range(1, n - 1):
             add(
                 f"zeta_braid:i={i}",
-                [z[i], z[i + 1], z[i]],
-                [z[i + 1], z[i], z[i + 1]],
+                (z[i], z[i + 1], z[i]),
+                (z[i + 1], z[i], z[i + 1]),
             )
 
     if "s" in allowed:
         for i in range(1, n):
             for j in range(i + 2, n):
-                add(f"sigma_comm:i={i},j={j}", [s[i], s[j]], [s[j], s[i]])
+                add(f"sigma_comm:i={i},j={j}", (s[i], s[j]), (s[j], s[i]))
         for i in range(1, n - 1):
             add(
                 f"sigma_braid:i={i}",
-                [s[i], s[i + 1], s[i]],
-                [s[i + 1], s[i], s[i + 1]],
+                (s[i], s[i + 1], s[i]),
+                (s[i + 1], s[i], s[i + 1]),
             )
 
     if flavor in (Flavor.VB, Flavor.BP):
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) > 1:
-                    add(f"mixed_comm:i={i},j={j}", [s[i], z[j]], [z[j], s[i]])
+                    add(f"mixed_comm:i={i},j={j}", (s[i], z[j]), (z[j], s[i]))
         for i in range(1, n - 1):
             add(
                 f"mixed_zzs:i={i}",
-                [z[i], z[i + 1], s[i]],
-                [s[i + 1], z[i], z[i + 1]],
+                (z[i], z[i + 1], s[i]),
+                (s[i + 1], z[i], z[i + 1]),
             )
     if flavor is Flavor.BP:
         for i in range(1, n - 1):
             add(
                 f"mixed_ssz:i={i}",
-                [s[i], s[i + 1], z[i]],
-                [z[i + 1], s[i], s[i + 1]],
+                (s[i], s[i + 1], z[i]),
+                (z[i + 1], s[i], s[i + 1]),
             )
 
     if "a" in allowed:
         a, s_inv = table("a"), table("s", -1)
         for i in range(1, n):
             for j in range(i + 2, n):
-                add(f"a_comm:i={i},j={j}", [a[i], a[j]], [a[j], a[i]])
+                add(f"a_comm:i={i},j={j}", (a[i], a[j]), (a[j], a[i]))
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) != 1:
-                    add(f"as_comm:i={i},j={j}", [a[i], s[j]], [s[j], a[i]])
+                    add(f"as_comm:i={i},j={j}", (a[i], s[j]), (s[j], a[i]))
         for i in range(1, n - 1):
             add(
                 f"ssa:i={i}",
-                [s[i], s[i + 1], a[i]],
-                [a[i + 1], s[i], s[i + 1]],
+                (s[i], s[i + 1], a[i]),
+                (a[i + 1], s[i], s[i + 1]),
             )
             add(
                 f"ssa_rev:i={i}",
-                [s[i + 1], s[i], a[i + 1]],
-                [a[i], s[i + 1], s[i]],
+                (s[i + 1], s[i], a[i + 1]),
+                (a[i], s[i + 1], s[i]),
             )
         # sigma^-1 is a presentation generator of the monoid, so its
         # inverse relations are genuine relators here
         for i in range(1, n):
-            add(f"sigma_inv_r:i={i}", [s[i], s_inv[i]], [])
-            add(f"sigma_inv_l:i={i}", [s_inv[i], s[i]], [])
+            add(f"sigma_inv_r:i={i}", (s[i], s_inv[i]), ())
+            add(f"sigma_inv_l:i={i}", (s_inv[i], s[i]), ())
         if flavor is Flavor.SG:
             a_inv = table("a", -1)
             for i in range(1, n):
-                add(f"a_inv_r:i={i}", [a[i], a_inv[i]], [])
-                add(f"a_inv_l:i={i}", [a_inv[i], a[i]], [])
+                add(f"a_inv_r:i={i}", (a[i], a_inv[i]), ())
+                add(f"a_inv_l:i={i}", (a_inv[i], a[i]), ())
 
     return Presentation(flavor, n, tuple(rels))
 
@@ -427,8 +447,16 @@ def replay_witness(w: GroupWord, witness, rules) -> GroupWord:
     """Apply the steps in order. Raises ShapeError if witness is not a
     sequence of RewriteSteps, and WitnessError if a step names no rule or its
     source is not at its position in the word (a position past the word's end
-    included)."""
-    by_name = {r.name: r for r in rules}
+    included). The rule tuple that ``rewrite_rules`` returns for w's flavor
+    and n is looked up in its engine's name map, built once with the engine;
+    any other rule sequence is mapped by name on each call. At n >= 2 the
+    engine of w's flavor and n is built if no search has built it yet."""
+    # presentations, and so engines, start at two strands
+    engine = _rewrite_engine(w.flavor, w.n) if w.n >= 2 else None
+    if engine is not None and rules is engine.rules:
+        by_name = engine.by_name
+    else:
+        by_name = {r.name: r for r in rules}
     try:
         steps = iter(witness)
     except TypeError:
@@ -462,12 +490,14 @@ class RewriteEngine:
     growth is ``len(dst) - len(src)``. ``fitting`` gives the moves whose growth
     is in a given set, still in move order; there are at most
     ``2**len(growths)`` such sets, and each list is built once per engine.
+    ``by_name`` maps each rule's name to the rule, for ``replay_witness``.
     """
 
-    __slots__ = ("rules", "moves", "growths", "_fitting")
+    __slots__ = ("rules", "by_name", "moves", "growths", "_fitting")
 
     def __init__(self, rules):
         self.rules = rules
+        self.by_name = {r.name: r for r in rules}
         self.moves = []  # (move, src, dst, growth) in move order
         for k, rule in enumerate(rules):
             lhs, rhs = _chars(rule.lhs.letters), _chars(rule.rhs.letters)

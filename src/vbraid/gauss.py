@@ -80,6 +80,16 @@ class GaussCode:
         return other in self.rotations()
 
 
+def _trusted_code(visits):
+    """The GaussCode of `visits`, a tuple of (O or U, int label) visits in which
+    each label appears once as O and once as U, numbered 1, 2, ... in
+    first-visit order; it skips the constructor's checks, so only this module
+    calls it."""
+    out = object.__new__(GaussCode)
+    object.__setattr__(out, "visits", visits)
+    return out
+
+
 _GAUSS_TOKEN = re.compile(r"([OU])([0-9]+)")
 
 
@@ -104,6 +114,10 @@ def closure_code(w: GroupWord) -> GaussCode:
     each classical crossing is recorded twice (over and under), virtual
     crossings are skipped. Labels follow first-visit order. Raises
     FlavorError, from perm_proj, for a flavor without a permutation image.
+
+    The walk passes each letter once on each of its two positions, so every
+    classical crossing is visited once over and once under, and the code is
+    built by ``_trusted_code`` with no second check.
     """
     if not p_is_cycle(perm_proj(w)):
         raise NotAKnotError("closure has more than one component")
@@ -137,4 +151,4 @@ def closure_code(w: GroupWord) -> GaussCode:
             visits.append((OVER if over else UNDER, step))
         pos = i + 1 if pos == i else i
         step = after[step][pos - i]
-    return GaussCode(_first_visit(visits))
+    return _trusted_code(_first_visit(visits))

@@ -157,6 +157,10 @@ def _too_big(span, k):
     )
 
 
+def _not_divisible(a, d):
+    return InexactDivisionError(f"{message_text(a)} is not divisible by {message_text(d)}")
+
+
 def _make(lo, v, k, bits):
     out = _new(LaurentPoly)
     out._lo, out._v, out._k, out._bits = lo, v, k, bits
@@ -226,7 +230,7 @@ def _divide(a, d):
             # repacking
             q, r = divmod(a._v, d._v)
             if r:
-                raise InexactDivisionError(f"{a} is not divisible by {d}")
+                raise _not_divisible(a, d)
             digits = _unpack(q, 64, nq)
             if digits is not None:
                 bits = _exact_bits(digits)
@@ -236,7 +240,7 @@ def _divide(a, d):
         last = max(k, _width(bound + d._bits + spread))
         if k == 64:
             if last == 64:
-                raise InexactDivisionError(f"{a} is not divisible by {d}")
+                raise _not_divisible(a, d)
             k = 128
         while True:
             if na * k > MAX_PACKED_BITS:
@@ -252,7 +256,24 @@ def _divide(a, d):
             if k == last:
                 break
             k = min(2 * k, last)
-    raise InexactDivisionError(f"{a} is not divisible by {d}")
+    raise _not_divisible(a, d)
+
+
+def message_text(p):
+    """p as an error message shows it: its text when that takes at most 200
+    characters, else its lowest exponent, span and coefficient bits. The text
+    is built only for a value of at most 4096 packed bits, so a message stays
+    short, and quick to build, however large p is."""
+    v, lo = p._v, p._lo
+    if v.bit_length() <= 4096 and abs(lo).bit_length() <= 64:
+        text = str(p)
+        if len(text) <= 200:
+            return text
+    start = lo if abs(lo).bit_length() <= 64 else f"({abs(lo).bit_length()}-bit exponent)"
+    return (
+        f"a Laurent polynomial of span {v.bit_length() // p._k} from t^{start}"
+        f" with coefficients of at most {p._bits} bits"
+    )
 
 
 def _int_text(n):
@@ -432,7 +453,7 @@ class LaurentPoly:
         if k < 0:
             unit = self.is_unit()
             if unit is None:
-                raise InexactDivisionError(f"negative power of the non-unit {self}")
+                raise InexactDivisionError(f"negative power of the non-unit {message_text(self)}")
             s, e = unit
             return LaurentPoly({k * e: 1 if (s == 1 or k % 2 == 0) else -1})
         result = ONE

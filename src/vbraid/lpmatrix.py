@@ -26,7 +26,16 @@ from .errors import (
     ShapeError,
     as_count,
 )
-from .laurent import MAX_PACKED_BITS, ONE, ZERO, LaurentPoly, dot, json_dumps, json_loads
+from .laurent import (
+    MAX_PACKED_BITS,
+    ONE,
+    ZERO,
+    LaurentPoly,
+    dot,
+    json_dumps,
+    json_loads,
+    message_text,
+)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -180,7 +189,9 @@ def mat_inverse(a: LPMatrix) -> LPMatrix:
     rows = [[*row, *unit] for row, unit in zip(a.entries, identity_rows(n))]
     det = _bareiss(rows)
     if det.is_unit() is None:
-        raise NonUnitDeterminantError(f"determinant {det} is not a unit of Z[t,t^-1]")
+        raise NonUnitDeterminantError(
+            f"determinant {message_text(det)} is not a unit of Z[t,t^-1]"
+        )
     inverse = [None] * n
     for i in reversed(range(n)):
         row = rows[i]

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import strategies as st
 
-from vbraid.braidword import Flavor, GroupWord, Letter, parse_word
+from vbraid.braidword import Flavor, GroupWord, Letter, Presentation, Relator, parse_word
 from vbraid.errors import InexactDivisionError, NonUnitDeterminantError, SizeMismatchError
 from vbraid.freegrp import FreeAut, FreeWord, aut_compose
 from vbraid.laurent import ONE, T, T_INV, ZERO, LaurentPoly
@@ -34,6 +34,31 @@ def random_letter(rng, flavor, n):
 
 def random_word(rng, flavor, n, length):
     return GroupWord(flavor, n, [random_letter(rng, flavor, n) for _ in range(length)])
+
+
+def validated_presentation(pres):
+    """pres rebuilt with every relator side passed through the validating
+    GroupWord constructor: the presentation as GroupWord would check it."""
+    def check(w):
+        return GroupWord(w.flavor, w.n, w.letters)
+
+    return Presentation(
+        pres.flavor, pres.n, tuple(Relator(r.name, check(r.lhs), check(r.rhs)) for r in pres.relators)
+    )
+
+
+def relator_side_faults(pres):
+    """A line for each relator side of pres that is not the validating
+    constructor's word of its own fields, in value or in field types (a str
+    flavor or a list of letters would compare equal); empty when all are."""
+    faults = []
+    for rel in pres.relators:
+        for side, w in (("lhs", rel.lhs), ("rhs", rel.rhs)):
+            checked = GroupWord(w.flavor, w.n, w.letters)
+            types = (type(w.flavor), type(w.n), type(w.letters))
+            if w != checked or types != (Flavor, int, tuple):
+                faults.append(f"{pres.flavor.value} n={pres.n} {rel.name} {side}: {w!r} {types}")
+    return faults
 
 
 def make_rng(seed=0):

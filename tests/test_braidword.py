@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import random_letter, random_word
+from conftest import random_letter, random_word, relator_side_faults, validated_presentation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from vbraid.braidword import (
     Flavor,
     GroupWord,
     Letter,
+    Relator,
     RewriteStep,
     S,
     Z,
@@ -247,6 +248,32 @@ class TestRelators:
         assert len(by_schema["sigma_inv_r"]) == 3
         assert len(by_schema["sigma_inv_l"]) == 3
 
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_sides_are_the_validating_constructors_words(self, flavor):
+        for n in range(2, 13):
+            pres = relators(flavor, n)
+            assert relator_side_faults(pres) == []
+            assert pres == validated_presentation(pres)
+
+    # the letter tables each flavor's schemas use: s, z, a, s^-1, a^-1
+    TABLES = {"br": 1, "sym": 1, "vb": 2, "bp": 2, "sb": 3, "sg": 4}
+
+    @pytest.mark.parametrize("flavor", sorted(TABLES))
+    def test_each_letter_table_checked_once(self, monkeypatch, flavor):
+        # GroupWord checks each table's letters once; no relator side is
+        # checked again, so the checks do not grow with the relator count
+        checked = []
+        check = GroupWord.__post_init__
+
+        def counting(self):
+            checked.append(1)
+            check(self)
+
+        monkeypatch.setattr(GroupWord, "__post_init__", counting)
+        pres = relators(flavor, 7)
+        assert len(pres.relators) > self.TABLES[flavor]
+        assert len(checked) <= self.TABLES[flavor]
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             relators("vb", 1)
@@ -337,6 +364,36 @@ class TestBfsEqual:
                 res = bfs_equal(w2, w3, 2)
                 assert res.equal
                 assert replay_witness(w2, res.witness, rules) == w3
+
+    def test_engine_rules_replay_through_the_engine_map(self, monkeypatch):
+        # the tuple rewrite_rules returns is looked up in its engine's name
+        # map; any other rule sequence is mapped on each call
+        w1, w2 = parse_word("s1 s2 s1", "vb", 3), parse_word("s2 s1 s2", "vb", 3)
+        witness = bfs_equal(w1, w2, 2).witness
+        engine = rewrite_engine("vb", 3)
+        looked_up = []
+
+        class Counting(dict):
+            def get(self, name):
+                looked_up.append(name)
+                return super().get(name)
+
+        monkeypatch.setattr(engine, "by_name", Counting(engine.by_name))
+        assert replay_witness(w1, witness, rewrite_rules("vb", 3)) == w2
+        assert looked_up == [step.rule for step in witness]
+        used = {step.rule for step in witness}
+        own = (list(engine.rules), tuple(r for r in engine.rules if r.name in used), rewrite_rules("vb", 4))
+        for rules in own:
+            assert replay_witness(w1, witness, rules) == w2
+        assert len(looked_up) == len(witness)
+
+    def test_replay_below_two_strands_builds_no_engine(self):
+        built = braidword._rewrite_engine.cache_info().currsize
+        for n in (0, 1):
+            w = GroupWord("vb", n)
+            assert replay_witness(w, (), []) == w
+            assert replay_witness(w, [RewriteStep("empty", 1, 0)], [Relator("empty", w, w)]) == w
+        assert braidword._rewrite_engine.cache_info().currsize == built
 
     def test_unknown_rule_in_witness(self):
         w = parse_word("s1 s1^-1", "vb", 2)

@@ -169,12 +169,13 @@ def walk_closure_code(w):
     return GaussCode(tuple(visits))
 
 
-def random_knot_word(rng, n, length):
+def random_knot_word(rng, n, length, flavor="vb"):
     """u c reversed(u), c a product of s_1..s_{n-1} in random order: the
-    permutation is a conjugate of a Coxeter element, an n-cycle."""
+    permutation is a conjugate of a Coxeter element, an n-cycle. A br word
+    has no z letters."""
 
     def letter(i):
-        if rng.random() < 0.3:
+        if flavor != "br" and rng.random() < 0.3:
             return Letter("z", i)
         return Letter("s", i, rng.choice((1, -1)))
 
@@ -182,7 +183,16 @@ def random_knot_word(rng, n, length):
     order = list(range(1, n))
     rng.shuffle(order)
     v = [letter(lt.index) for lt in reversed(u)]
-    return GroupWord("vb", n, u + [letter(i) for i in order] + v)
+    return GroupWord(flavor, n, u + [letter(i) for i in order] + v)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(("vb", "bp", "br")), st.integers(2, 8), st.integers(0, 12), st.randoms())
+def test_closure_code_passes_the_validating_constructor(flavor, n, length, rng):
+    # closure_code builds its result without GaussCode's checks
+    code = closure_code(random_knot_word(rng, n, length, flavor))
+    assert GaussCode(code.visits) == code
+    assert type(code.visits) is tuple
 
 
 def test_closure_code_matches_strand_by_strand_walk():

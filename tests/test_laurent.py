@@ -185,6 +185,19 @@ def test_inexact_division_raises_typed_error():
         ONE.exact_div(ONE - T)
 
 
+def test_inexact_division_message_stays_short():
+    # short operands are written out; a 10^5-digit one is described by its
+    # span and bits, so the message stays short and quick to build
+    with pytest.raises(InexactDivisionError, match=r"^1 \+ 1\*t\^10 is not divisible by 3 \+ 1\*t\^1$"):
+        poly({0: 1, 10: 1}).exact_div(poly({0: 3, 1: 1}))
+    big = poly({0: 10**100000 + 1, 1: 1})
+    for fail in (lambda: big.exact_div(poly({0: 2, 1: 1})), lambda: big**-1):
+        with pytest.raises(InexactDivisionError) as info:
+            fail()
+        assert len(str(info.value)) < 500
+        assert "span 1 from t^0 with coefficients of at most 332193 bits" in str(info.value)
+
+
 def test_exact_div_remainder_in_64_bit_slots_raises():
     # (1 + t)(1 - 2t + 3t^2) + 1: the packed integers leave a remainder on the
     # operands' own 64-bit slots, before any wider width is tried

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -11,7 +12,14 @@ from vbraid.freegrp import FreeAut
 from vbraid.lpmatrix import LPMatrix
 from vbraid.perm import Permutation
 from vbraid.reps import AbelianImage, burau
-from vbraid.verify import _MAPS, CHECKS_BY_FLAVOR, CheckRecord, verify_presentation, verify_range
+from vbraid.verify import (
+    _MAPS,
+    CHECKS_BY_FLAVOR,
+    CheckRecord,
+    _record,
+    verify_presentation,
+    verify_range,
+)
 
 
 def test_all_flavors_pass_small():
@@ -24,6 +32,17 @@ def test_record_line_format():
     rec = CheckRecord(3, "sigma_braid:1", "burau", True)
     assert rec.line() == "n=3 sigma_braid:1 burau PASS"
     assert CheckRecord(3, "x", "aut", False).line() == "n=3 x aut FAIL"
+
+
+def test_record_builder_matches_the_constructor():
+    # verify_presentation builds its records without the frozen constructor
+    for fields in ((3, "sigma_braid:i=1", "burau", True, None), (4, "bogus:1", "perm", False, "strand at position 1")):
+        rec, built = _record(*fields), CheckRecord(*fields)
+        assert type(rec) is CheckRecord
+        assert rec == built and hash(rec) == hash(built) and repr(rec) == repr(built)
+        assert rec.to_json_obj() == built.to_json_obj() and rec.line() == built.line()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.passed = not rec.passed
 
 
 def test_record_json_shape():
