@@ -2,6 +2,9 @@
 
 Provides the relator database for each presentation, free reduction, and a
 bounded bidirectional search for word equality with replayable witnesses.
+The presentations are one table, ``_SCHEMAS``, of relation types over the
+shared generators; one instantiator builds ``relators`` and the search's
+rewrite rules from its rows.
 
 Letter grammar (whitespace-separated): ``s``/``z``/``a`` + index + optional
 ``^-1``, e.g. ``"s1 s2^-1 z1"``. Virtual letters ``z`` are involutions, so
@@ -14,7 +17,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import index
+from itertools import product
+from operator import index, itemgetter
 
 from .errors import (
     IndexOutOfRangeError,
@@ -174,10 +178,16 @@ def _trusted_word(flavor, n, letters):
     n, ...)`` admits, for a Flavor and an int n >= 0; it skips the
     constructor's checks, so only this module calls it."""
     out = object.__new__(GroupWord)
-    object.__setattr__(out, "flavor", flavor)
-    object.__setattr__(out, "n", n)
-    object.__setattr__(out, "letters", letters)
+    _SET_FLAVOR(out, flavor)
+    _SET_N(out, n)
+    _SET_LETTERS(out, letters)
     return out
+
+
+# the slot setters of GroupWord's fields, which its frozen __setattr__ refuses
+_SET_FLAVOR, _SET_N, _SET_LETTERS = (
+    GroupWord.__dict__[field].__set__ for field in ("flavor", "n", "letters")
+)
 
 
 _TOKEN_RE = re.compile(r"([sza])0*([1-9][0-9]*)(\^-1)?$")
@@ -262,118 +272,140 @@ class Relator:
 
 @dataclass(frozen=True, slots=True)
 class Presentation:
+    """The relators of a flavor on n strands. Construction takes the flavor
+    through ``Flavor``, n through ``as_count`` and the relators as a tuple,
+    each a ``Relator`` (else ShapeError); the relators' own fields are not
+    checked."""
+
     flavor: Flavor
     n: int
     relators: tuple  # tuple of Relator
 
+    def __post_init__(self):
+        flavor = Flavor(self.flavor)
+        n = as_count(self.n)
+        try:
+            rels = tuple(self.relators)
+        except TypeError:
+            raise ShapeError(f"relators must be a sequence, got {self.relators!r}") from None
+        for pos, rel in enumerate(rels):
+            if not isinstance(rel, Relator):
+                raise ShapeError(f"relator {rel!r} at position {pos} is not a Relator")
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "relators", rels)
 
-def relators(flavor, n: int) -> Presentation:
-    """Every instance of every relation schema of the presentation, for given n.
 
-    The letters come from tables of s, z, a, s^-1 and a^-1 at indices
-    1..n-1, only those the flavor's schemas use. ``GroupWord`` checks each
-    table's letters once, as one word; every relator side is a tuple of
-    those letters and is built by ``_trusted_word``, with no check of its
-    own. Not cached: each call builds a new Presentation.
-    """
+# The relation types of the presentations, one row each, in relator order:
+# (use, flavors, index form, schemas); "rule" rows are rewrite rules of the
+# search, not relators. At each index pair, a row builds its schemas in order:
+# (name, lhs, rhs), each side letters of kind, index i or j, and ' for an
+# inverse. VB_n's relation types are BP_n's less mixed_ssz (Fenn-Rimanyi-Rourke 1997).
+_SCHEMAS = (
+    ("relator", "sym vb bp", "i", [("zeta_sq", "zi zi", "")]),
+    ("relator", "sym vb bp", "far", [("zeta_comm", "zi zj", "zj zi")]),
+    ("relator", "sym vb bp", "adjacent", [("zeta_braid", "zi zj zi", "zj zi zj")]),
+    ("relator", "br vb bp sb sg", "far", [("sigma_comm", "si sj", "sj si")]),
+    ("relator", "br vb bp sb sg", "adjacent", [("sigma_braid", "si sj si", "sj si sj")]),
+    ("relator", "vb bp", "apart", [("mixed_comm", "si zj", "zj si")]),
+    ("relator", "vb bp", "adjacent", [("mixed_zzs", "zi zj si", "sj zi zj")]),
+    ("relator", "bp", "adjacent", [("mixed_ssz", "si sj zi", "zj si sj")]),
+    ("relator", "sb sg", "far", [("a_comm", "ai aj", "aj ai")]),
+    ("relator", "sb sg", "not-adjacent", [("as_comm", "ai sj", "sj ai")]),
+    ("relator", "sb sg", "adjacent",
+     [("ssa", "si sj ai", "aj si sj"), ("ssa_rev", "sj si aj", "ai sj si")]),
+    # sigma^-1 is a generator of the monoid, so its inverse relations are relators there
+    ("relator", "sb sg", "i", [("sigma_inv_r", "si si'", ""), ("sigma_inv_l", "si' si", "")]),
+    ("relator", "sg", "i", [("a_inv_r", "ai ai'", ""), ("a_inv_l", "ai' ai", "")]),
+    # free cancellation, so that every search step is a subword splice; z
+    # cancellation is zeta_sq, and sb and sg carry theirs as relators
+    ("rule", "br vb bp", "i", [("cancel_s_r", "si si'", ""), ("cancel_s_l", "si' si", "")]),
+)
+
+# index form -> (its index pairs (i, j) at n strands, a pair's label in names)
+_INDEX_FORMS = {
+    "i": (lambda n: [(i, i) for i in range(1, n)], "{0}"),
+    "adjacent": (lambda n: [(i, i + 1) for i in range(1, n - 1)], "{0}"),
+    "far": (lambda n: [(i, j) for i in range(1, n) for j in range(i + 2, n)], "{0},j={1}"),
+    "apart": (
+        lambda n: [(i, j) for i, j in product(range(1, n), repeat=2) if abs(i - j) > 1],
+        "{0},j={1}",
+    ),
+    "not-adjacent": (
+        lambda n: [(i, j) for i, j in product(range(1, n), repeat=2) if abs(i - j) != 1],
+        "{0},j={1}",
+    ),
+}
+
+
+def _compile(table):
+    """flavor -> its rows of table, in order, each (is a rule, form, letters,
+    schemas): the distinct (kind, exponent, 0 for i or 1 for j) its sides use,
+    and (name prefix, lhs, rhs), a side the getter of its letters' positions."""
+    rows = {flavor: [] for flavor in Flavor}
+    for use, flavors, form, schemas in table:
+        refs = {t: (t[0], -1 if t.endswith("'") else 1, "ij".index(t[1]))
+                for _, *sides in schemas for side in sides for t in side.split()}
+        letters = list(dict.fromkeys(refs.values()))
+
+        def getter(side):
+            at = [letters.index(refs[t]) for t in side.split()]
+            if len(at) > 1:
+                return itemgetter(*at)
+            # itemgetter of one position or none gives no tuple; a slice does
+            return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+
+        row = (use == "rule", form, letters,
+               [(f"{name}:i=", getter(lhs), getter(rhs)) for name, lhs, rhs in schemas])
+        for flavor in flavors.split():
+            rows[Flavor(flavor)].append(row)
+    return rows
+
+
+_ROWS = _compile(_SCHEMAS)
+
+
+def _instances(flavor, n, rules=False):
+    """The relators of (flavor, n), then with rules the search's other rules:
+    the flavor's rows of _SCHEMAS, each at its index pairs. The letters come
+    from ``_letter`` in tables of one (kind, exponent), those the rows use;
+    ``GroupWord`` checks each table once, and ``_trusted_word`` builds every
+    side from them with no check of its own."""
     flavor = Flavor(flavor)
     n = as_count(n)
     if n < 2:
         raise StrandCountError(f"presentations require n >= 2, got {n}")
+    tables, forms, out = {}, {}, []
+    for is_rule, form, letters, schemas in _ROWS[flavor]:
+        if is_rule and not rules:
+            continue
+        if form not in forms:  # the form's pairs as the is and the js, and their labels
+            pairs, label = _INDEX_FORMS[form]
+            ij = list(zip(*pairs(n))) or [(), ()]
+            forms[form] = (list(map(label.format, *ij)), ij)
+        labels, ij = forms[form]
+        if not labels:
+            continue
+        columns = []
+        for kind, e, k in letters:
+            table = tables.get((kind, e))
+            if table is None:
+                word = GroupWord(flavor, n, [_letter(kind, i, e) for i in range(1, n)])
+                table = tables[kind, e] = (None, *word.letters)
+            columns.append(map(table.__getitem__, ij[k]))
+        # at each pair, all of the row's schemas in order, then the next pair
+        for label, at in zip(labels, zip(*columns)):
+            for prefix, lhs, rhs in schemas:
+                left, right = _trusted_word(flavor, n, lhs(at)), _trusted_word(flavor, n, rhs(at))
+                out.append(Relator(prefix + label, left, right))
+    return tuple(out)
 
-    rels = []
 
-    def add(name, lhs, rhs):
-        rels.append(
-            Relator(name, _trusted_word(flavor, n, lhs), _trusted_word(flavor, n, rhs))
-        )
-
-    def table(kind, e=1):
-        # the letters come from the shared table, so relator sets share them;
-        # GroupWord admits them once here, for every side built from them
-        letters = GroupWord(flavor, n, [_letter(kind, i, e) for i in range(1, n)]).letters
-        return dict(enumerate(letters, 1))
-
-    # only the tables the flavor's schemas use: sb and sg use s^-1, sg a^-1
-    allowed = _ALLOWED_KINDS[flavor]
-    s = table("s") if "s" in allowed else None
-    z = table("z") if "z" in allowed else None
-
-    if "z" in allowed:
-        for i in range(1, n):
-            add(f"zeta_sq:i={i}", (z[i], z[i]), ())
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                add(f"zeta_comm:i={i},j={j}", (z[i], z[j]), (z[j], z[i]))
-        for i in range(1, n - 1):
-            add(
-                f"zeta_braid:i={i}",
-                (z[i], z[i + 1], z[i]),
-                (z[i + 1], z[i], z[i + 1]),
-            )
-
-    if "s" in allowed:
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                add(f"sigma_comm:i={i},j={j}", (s[i], s[j]), (s[j], s[i]))
-        for i in range(1, n - 1):
-            add(
-                f"sigma_braid:i={i}",
-                (s[i], s[i + 1], s[i]),
-                (s[i + 1], s[i], s[i + 1]),
-            )
-
-    if flavor in (Flavor.VB, Flavor.BP):
-        for i in range(1, n):
-            for j in range(1, n):
-                if abs(i - j) > 1:
-                    add(f"mixed_comm:i={i},j={j}", (s[i], z[j]), (z[j], s[i]))
-        for i in range(1, n - 1):
-            add(
-                f"mixed_zzs:i={i}",
-                (z[i], z[i + 1], s[i]),
-                (s[i + 1], z[i], z[i + 1]),
-            )
-    if flavor is Flavor.BP:
-        for i in range(1, n - 1):
-            add(
-                f"mixed_ssz:i={i}",
-                (s[i], s[i + 1], z[i]),
-                (z[i + 1], s[i], s[i + 1]),
-            )
-
-    if "a" in allowed:
-        a, s_inv = table("a"), table("s", -1)
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                add(f"a_comm:i={i},j={j}", (a[i], a[j]), (a[j], a[i]))
-        for i in range(1, n):
-            for j in range(1, n):
-                if abs(i - j) != 1:
-                    add(f"as_comm:i={i},j={j}", (a[i], s[j]), (s[j], a[i]))
-        for i in range(1, n - 1):
-            add(
-                f"ssa:i={i}",
-                (s[i], s[i + 1], a[i]),
-                (a[i + 1], s[i], s[i + 1]),
-            )
-            add(
-                f"ssa_rev:i={i}",
-                (s[i + 1], s[i], a[i + 1]),
-                (a[i], s[i + 1], s[i]),
-            )
-        # sigma^-1 is a presentation generator of the monoid, so its
-        # inverse relations are genuine relators here
-        for i in range(1, n):
-            add(f"sigma_inv_r:i={i}", (s[i], s_inv[i]), ())
-            add(f"sigma_inv_l:i={i}", (s_inv[i], s[i]), ())
-        if flavor is Flavor.SG:
-            a_inv = table("a", -1)
-            for i in range(1, n):
-                add(f"a_inv_r:i={i}", (a[i], a_inv[i]), ())
-                add(f"a_inv_l:i={i}", (a_inv[i], a[i]), ())
-
-    return Presentation(flavor, n, tuple(rels))
+def relators(flavor, n: int) -> Presentation:
+    """Every instance of every relation schema of the presentation, for given n:
+    the flavor's relator rows of ``_SCHEMAS``, in table order. Not cached: each
+    call builds a new Presentation."""
+    return Presentation(flavor, n, _instances(flavor, n))
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +561,7 @@ def rewrite_engine(flavor, n: int) -> RewriteEngine:
 
 @lru_cache(maxsize=None)
 def _rewrite_engine(flavor, n):
-    rules = list(relators(flavor, n).relators)
-    # z cancellation is the zeta_sq relator, and the singular flavors carry
-    # their cancellations as sigma_inv_* and a_inv_* relators
-    if flavor in (Flavor.BR, Flavor.VB, Flavor.BP):
-        empty = GroupWord(flavor, n)
-        for i in range(1, n):
-            for side, seq in (("r", [S(i), S(i, -1)]), ("l", [S(i, -1), S(i)])):
-                lhs = GroupWord(flavor, n, seq)
-                rules.append(Relator(f"cancel_s_{side}:i={i}", lhs, empty))
-    return RewriteEngine(tuple(rules))
+    return RewriteEngine(_instances(flavor, n, rules=True))
 
 
 def _links_to_root(seen, node):

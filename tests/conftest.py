@@ -61,6 +61,90 @@ def relator_side_faults(pres):
     return faults
 
 
+def reference_relators(flavor, n):
+    """The relators of (flavor, n) as per-flavor loops build them, each side
+    through the validating GroupWord constructor: the oracle for the schema
+    table that ``relators`` instantiates."""
+    flavor = Flavor(flavor)
+    allowed = {
+        Flavor.BR: "s", Flavor.SYM: "z", Flavor.VB: "sz",
+        Flavor.BP: "sz", Flavor.SB: "sa", Flavor.SG: "sa",
+    }[flavor]
+    rels = []
+
+    def add(name, lhs, rhs):
+        rels.append(Relator(name, GroupWord(flavor, n, lhs), GroupWord(flavor, n, rhs)))
+
+    s = {i: Letter("s", i) for i in range(1, n)}
+    z = {i: Letter("z", i) for i in range(1, n)}
+    a = {i: Letter("a", i) for i in range(1, n)}
+    s_inv = {i: Letter("s", i, -1) for i in range(1, n)}
+    a_inv = {i: Letter("a", i, -1) for i in range(1, n)}
+
+    if "z" in allowed:
+        for i in range(1, n):
+            add(f"zeta_sq:i={i}", (z[i], z[i]), ())
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                add(f"zeta_comm:i={i},j={j}", (z[i], z[j]), (z[j], z[i]))
+        for i in range(1, n - 1):
+            add(f"zeta_braid:i={i}", (z[i], z[i + 1], z[i]), (z[i + 1], z[i], z[i + 1]))
+
+    if "s" in allowed:
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                add(f"sigma_comm:i={i},j={j}", (s[i], s[j]), (s[j], s[i]))
+        for i in range(1, n - 1):
+            add(f"sigma_braid:i={i}", (s[i], s[i + 1], s[i]), (s[i + 1], s[i], s[i + 1]))
+
+    if flavor in (Flavor.VB, Flavor.BP):
+        for i in range(1, n):
+            for j in range(1, n):
+                if abs(i - j) > 1:
+                    add(f"mixed_comm:i={i},j={j}", (s[i], z[j]), (z[j], s[i]))
+        for i in range(1, n - 1):
+            add(f"mixed_zzs:i={i}", (z[i], z[i + 1], s[i]), (s[i + 1], z[i], z[i + 1]))
+    if flavor is Flavor.BP:
+        for i in range(1, n - 1):
+            add(f"mixed_ssz:i={i}", (s[i], s[i + 1], z[i]), (z[i + 1], s[i], s[i + 1]))
+
+    if "a" in allowed:
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                add(f"a_comm:i={i},j={j}", (a[i], a[j]), (a[j], a[i]))
+        for i in range(1, n):
+            for j in range(1, n):
+                if abs(i - j) != 1:
+                    add(f"as_comm:i={i},j={j}", (a[i], s[j]), (s[j], a[i]))
+        for i in range(1, n - 1):
+            add(f"ssa:i={i}", (s[i], s[i + 1], a[i]), (a[i + 1], s[i], s[i + 1]))
+            add(f"ssa_rev:i={i}", (s[i + 1], s[i], a[i + 1]), (a[i], s[i + 1], s[i]))
+        for i in range(1, n):
+            add(f"sigma_inv_r:i={i}", (s[i], s_inv[i]), ())
+            add(f"sigma_inv_l:i={i}", (s_inv[i], s[i]), ())
+        if flavor is Flavor.SG:
+            for i in range(1, n):
+                add(f"a_inv_r:i={i}", (a[i], a_inv[i]), ())
+                add(f"a_inv_l:i={i}", (a_inv[i], a[i]), ())
+
+    return tuple(rels)
+
+
+def reference_rewrite_rules(flavor, n):
+    """reference_relators plus the free cancellation of s letters in br, vb
+    and bp: the oracle for ``rewrite_rules``. z cancellation is the zeta_sq
+    relator, and sb and sg carry their cancellations as relators."""
+    flavor = Flavor(flavor)
+    rules = list(reference_relators(flavor, n))
+    if flavor in (Flavor.BR, Flavor.VB, Flavor.BP):
+        empty = GroupWord(flavor, n)
+        for i in range(1, n):
+            for side, seq in (("r", [Letter("s", i), Letter("s", i, -1)]),
+                              ("l", [Letter("s", i, -1), Letter("s", i)])):
+                rules.append(Relator(f"cancel_s_{side}:i={i}", GroupWord(flavor, n, seq), empty))
+    return tuple(rules)
+
+
 def make_rng(seed=0):
     return random.Random(seed)
 

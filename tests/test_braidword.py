@@ -6,7 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import random_letter, random_word, relator_side_faults, validated_presentation
+from conftest import (
+    random_letter,
+    random_word,
+    reference_relators,
+    reference_rewrite_rules,
+    relator_side_faults,
+    validated_presentation,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +261,24 @@ class TestRelators:
             pres = relators(flavor, n)
             assert relator_side_faults(pres) == []
             assert pres == validated_presentation(pres)
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    def test_schema_table_matches_the_loop_oracle(self, flavor):
+        # the rows of _SCHEMAS against the per-flavor loops they replaced:
+        # names, order and sides, of the relators and of the search's rules
+        for n in range(2, 13):
+            assert relators(flavor, n).relators == reference_relators(flavor, n), n
+            assert rewrite_rules(flavor, n) == reference_rewrite_rules(flavor, n), n
+
+    def test_rule_letters_come_from_the_shared_table(self):
+        # engines built earlier may hold letters that the bounded table has
+        # since evicted; engines built now take the table's current letters
+        braidword._rewrite_engine.cache_clear()
+        for flavor in Flavor:
+            for n in range(2, 9):
+                for rule in rewrite_rules(flavor, n):
+                    for lt in rule.lhs.letters + rule.rhs.letters:
+                        assert lt is braidword._letter(lt.kind, lt.index, lt.exponent), rule.name
 
     # the letter tables each flavor's schemas use: s, z, a, s^-1, a^-1
     TABLES = {"br": 1, "sym": 1, "vb": 2, "bp": 2, "sb": 3, "sg": 4}

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbraid.braidword import Flavor, GroupWord, Letter, Presentation, Relator, parse_word, relators
-from vbraid.errors import CheckNotApplicableError, ShapeError, StrandCountError
+from vbraid.errors import (
+    CheckNotApplicableError,
+    ShapeError,
+    StrandCountError,
+    UnknownFlavorError,
+)
 from vbraid.freegrp import FreeAut
 from vbraid.lpmatrix import LPMatrix
 from vbraid.perm import Permutation
@@ -26,6 +31,25 @@ def test_all_flavors_pass_small():
     for flavor in Flavor:
         records = verify_range(flavor, 2, 4)
         assert records and all(r.passed for r in records), flavor
+
+
+def test_presentation_fields_are_checked():
+    # a bad flavor, n or relator sequence raises a typed error when the
+    # Presentation is built, and a str flavor is taken through Flavor
+    for args, error in (
+        (("xx", 3, ()), UnknownFlavorError),
+        ((Flavor.VB, "3", ()), StrandCountError),
+        ((Flavor.VB, 3, 5), ShapeError),
+        ((Flavor.VB, 3, [1]), ShapeError),
+    ):
+        with pytest.raises(error):
+            verify_presentation(Presentation(*args))
+    rels = relators("vb", 3).relators
+    pres = Presentation("vb", 3, list(rels))
+    assert (pres.flavor, pres.relators) == (Flavor.VB, rels) and type(pres.relators) is tuple
+    assert verify_presentation(pres) == verify_presentation(relators("vb", 3))
+    with pytest.raises(CheckNotApplicableError):
+        verify_presentation(pres, ["sigma_sq"])
 
 
 def test_record_line_format():
